@@ -13,6 +13,11 @@ stdout (including the diagnosis tables) must byte-match across
 backends and the vectorizer must run fallback-free: a silent demotion
 to the scalar tier would otherwise still pass the 3x bar.
 
+A fourth row, ``codegen_host_pathfinder``, times the catalogue
+Pathfinder end to end (``run_program``, host loops included) under
+``auto`` vs ``interp``: with host functions compiled too, it must clear
+1.5x.
+
 Ratios land in ``BENCH_codegen.json`` as ``*_vs_interp_x`` overhead
 fractions (compiled time / interpreter time, smaller is better) so the
 conftest guard fails the run if a committed ratio regresses >25%.
@@ -22,7 +27,7 @@ import time
 
 from repro.interp import run_program
 from repro.runtime import Tracer
-from repro.workloads.minicuda import lulesh_source
+from repro.workloads.minicuda import CATALOG, lulesh_source
 
 _HEADER = """\
 #pragma xpl replace cudaMallocManaged
@@ -172,6 +177,40 @@ def _report(name, times, once, bench_record, vec_bar):
     assert vec_x >= vec_bar, (
         f"{name}: vectorized speedup {vec_x:.1f}x below the "
         f"{vec_bar:.0f}x bar")
+
+
+def _measure_host(source: str, name: str, repeats: int = 3) -> dict:
+    """Best-of-``repeats`` whole-program time under ``interp`` vs
+    ``auto``; ``auto`` must compile ``main`` with no host fallback."""
+    times, stdout = {}, {}
+    for backend in ("interp", "auto"):
+        best = None
+        for _ in range(repeats):
+            dt, it = _run(source, backend, name)
+            best = dt if best is None else min(best, dt)
+        times[backend] = best
+        stdout[backend] = it.stdout
+    assert stdout["auto"] == stdout["interp"], f"{name}: host drift"
+    assert it.tracer.backend_info()["host"] == {"codegen": 1}, (
+        f"{name}: host code fell back: {it.tracer.backend_info()}")
+    return times
+
+
+def test_host_pathfinder_end_to_end_1_5x(once, bench_record):
+    """End to end (host loops included) on the catalogue Pathfinder:
+    compiled host code plus vectorized kernels vs the interpreter."""
+    source = CATALOG["mc-pathfinder"]()
+    times = once(lambda: _measure_host(source, "mc-pathfinder"))
+    speedup = times["interp"] / times["auto"]
+    print(f"\nhost_pathfinder: interp {times['interp']:.3f}s, "
+          f"auto {times['auto']:.3f}s ({speedup:.1f}x)")
+    bench_record(
+        "codegen_host_pathfinder", file="codegen",
+        auto_vs_interp_x=round(times["auto"] / times["interp"], 4),
+        auto_speedup=round(speedup, 1),
+        interp_s=round(times["interp"], 3))
+    assert speedup >= 1.5, (
+        f"end-to-end speedup {speedup:.1f}x below the 1.5x bar")
 
 
 def test_pathfinder_kernel_loop_10x(once, bench_record):

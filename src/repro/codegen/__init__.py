@@ -3,7 +3,8 @@
 Lowers instrumented kernel ASTs to native Python once per kernel
 (:mod:`repro.codegen.emitter`), optionally vectorizing the whole thread
 grid into numpy array operations (:mod:`repro.codegen.vectorize` +
-:mod:`repro.codegen.gridexec`).  Backend selection and the per-launch
+:mod:`repro.codegen.gridexec`); host functions go through the same
+emitter (:mod:`repro.codegen.host`, imported on first use).  Backend selection and the per-launch
 fallback ladder live in :mod:`repro.codegen.backend`; the tree-walking
 interpreter remains the differential oracle every compiled backend must
 byte-match.

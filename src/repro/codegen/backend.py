@@ -25,9 +25,11 @@ silently skipping an override would change observable behaviour.
 
 from __future__ import annotations
 
+from functools import partial
+
 from ..heatmap.store import SourceSite
 from ..interp.interpreter import _cdiv, _cmod
-from ..interp.values import InterpError, _reject, _typed_view
+from ..interp.values import InterpError, _reject, _typed_view, printf
 from ..runtime.tracer import Tracer
 from .emitter import DTYPES, WRAPS, CodegenBail, compile_scalar
 from .gridexec import VecBail, VecRun
@@ -112,18 +114,6 @@ def _make_st(space, dt):
     return st
 
 
-def _make_printf(out):
-    def _printf(*args):
-        fmt = str(args[0]).replace("\\n", "\n").replace("\\t", "\t")
-        fmt = fmt.replace("%d", "{}").replace("%f", "{}").replace("%s", "{}")
-        fmt = fmt.replace("%lu", "{}").replace("%g", "{}").replace(
-            "%p", "{:#x}")
-        out.write(fmt.format(*args[1:]))
-        return 0
-
-    return _printf
-
-
 def _base_globals(interp) -> dict:
     g = {"__builtins__": {}, "int": int, "float": float, "bool": bool}
     fns = interp._trace_fns
@@ -132,7 +122,7 @@ def _base_globals(interp) -> dict:
     g["_TRX"] = fns["traceRW"]
     g["_cdiv"] = _cdiv
     g["_cmod"] = _cmod
-    g["_printf"] = _make_printf(interp.out)
+    g["_printf"] = partial(printf, interp.out)
     space = interp._space
     for key, dt in DTYPES.items():
         g[f"_w_{key}"] = WRAPS[key]
@@ -141,21 +131,37 @@ def _base_globals(interp) -> dict:
     return g
 
 
-def _bind(interp, ck, kind: str):
-    """``exec`` a compiled kernel into interpreter-bound globals once;
-    repeated launches reuse the bound function."""
-    cache = interp.__dict__.setdefault("_codegen_bound", {})
-    key = (ck.digest, kind)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
+def bind(interp, ck, heat_sites: bool, extra: dict | None = None):
+    """``exec`` compiled code into globals bound to ``interp``; returns
+    the emitted function.  ``heat_sites`` binds the ``_S<i>`` site
+    constants; ``extra`` adds tier-specific names."""
     g = _base_globals(interp)
-    if kind == "scalar-heat":
+    if heat_sites:
         for i, line in enumerate(ck.sites):
             g[f"_S{i}"] = SourceSite(interp.source_name, line)
+    if extra:
+        g.update(extra)
     exec(ck.code, g)
-    fn = cache[key] = g["_kernel"]
-    return fn
+    # Popped, so the function -> globals reference is not a cycle: the
+    # bound code is freed with its interpreter, without waiting for gc.
+    return g.pop(ck.entry)
+
+
+def memoized(interp, fn, kind: str, build):
+    """``build()`` once per function per interpreter, keyed by the
+    ``FunctionDef``'s identity (so no launch re-digests its kernel); a
+    :class:`CodegenBail` is memoized and re-raised too."""
+    key = (id(fn), kind)
+    hit = interp._compiled.get(key)
+    if hit is None:
+        try:
+            hit = build()
+        except CodegenBail as bail:
+            hit = bail
+        interp._compiled[key] = hit
+    if isinstance(hit, CodegenBail):
+        raise hit
+    return hit
 
 
 # --------------------------------------------------------------------- #
@@ -168,9 +174,15 @@ def _check_args(interp, fn, args) -> None:
             f"{fn.name} expects {len(fn.params)} arguments, got {len(args)}")
 
 
+def _build_scalar(interp, fn, heat_on):
+    ck = compile_scalar(fn, heat_on)
+    return ck, bind(interp, ck, heat_on)
+
+
 def _run_scalar(interp, fn, grid, block, args, heat_on) -> None:
-    ck = compile_scalar(fn, heat_on)  # CodegenBail propagates to the ladder
-    kfn = _bind(interp, ck, "scalar-heat" if heat_on else "scalar")
+    # CodegenBail propagates to the ladder.
+    ck, kfn = memoized(interp, fn, "scalar-heat" if heat_on else "scalar",
+                       lambda: _build_scalar(interp, fn, heat_on))
     _check_args(interp, fn, args)
     wargs = [WRAPS[k](v) for k, v in zip(ck.param_keys, args)]
     thread = {"blockIdx_x": 0, "threadIdx_x": 0,
@@ -184,6 +196,8 @@ def _run_scalar(interp, fn, grid, block, args, heat_on) -> None:
                 thread["threadIdx_x"] = t
                 kfn(b, t, block, grid, *wargs)
     except InterpError as exc:
+        if exc.site is None:
+            interp._line = ck.fault_line(exc) or interp._line
         interp._decorate_error(exc)
         raise
     finally:
@@ -191,14 +205,19 @@ def _run_scalar(interp, fn, grid, block, args, heat_on) -> None:
         interp._thread = {}
 
 
+def _build_vec(interp, fn):
+    ck = compile_vec(fn)
+    return ck, bind(interp, ck, False)
+
+
 def _run_vec(interp, fn, grid, block, args, heat_on) -> bool:
     """One vectorized launch; ``False`` means bail (values restored)."""
-    ck = compile_vec(fn)  # CodegenBail propagates to the ladder
+    # CodegenBail propagates to the ladder.
+    ck, kfn = memoized(interp, fn, "vec", lambda: _build_vec(interp, fn))
     if heat_on and (ck.loop_trace or 0 in ck.sites):
         raise CodegenBail("heat attribution needs per-statement lines")
     _check_args(interp, fn, args)
     wargs = [WRAPS[k](v) for k, v in zip(ck.param_keys, args)]
-    kfn = _bind(interp, ck, "vec")
     sites = None
     if heat_on:
         sites = tuple(SourceSite(interp.source_name, ln) for ln in ck.sites)

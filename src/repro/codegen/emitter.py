@@ -18,6 +18,9 @@ cells.  Kernels the emitter cannot prove equivalent raise
 Compilation is memoized module-wide by a structural AST digest (lines
 included -- heat sites depend on them), including *negative* entries so a
 bailing kernel is analyzed once, not once per launch.
+
+:mod:`repro.codegen.host` subclasses :class:`ScalarEmitter` to lower host
+functions with the same expression, loop and trace lowering.
 """
 
 from __future__ import annotations
@@ -315,20 +318,43 @@ WRAPS = {
 
 
 class CompiledKernel:
-    """A kernel lowered to Python, ready to bind per interpreter."""
+    """A function lowered to Python, ready to bind per interpreter.
+
+    ``lines`` maps each emitted body line (Python line 2 onwards) to the
+    source line it lowers, so a fault raised inside the compiled code can
+    be located like the interpreter locates it.  ``entry`` names the
+    emitted function; ``refs`` lists the program functions the code
+    refers to as ``_F_<name>`` (host lowerings only).
+    """
 
     __slots__ = ("name", "digest", "heat_on", "source", "code", "sites",
-                 "param_keys")
+                 "param_keys", "lines", "entry", "refs")
 
     def __init__(self, name: str, digest: str, heat_on: bool, source: str,
-                 sites: tuple[int, ...], param_keys: tuple[str, ...]) -> None:
+                 sites: tuple[int, ...], param_keys: tuple[str, ...],
+                 lines: tuple[int, ...] = (), entry: str = "_kernel",
+                 refs: tuple[str, ...] = ()) -> None:
         self.name = name
         self.digest = digest
         self.heat_on = heat_on
         self.source = source
         self.sites = sites
         self.param_keys = param_keys
+        self.lines = lines
+        self.entry = entry
+        self.refs = refs
         self.code = compile(source, f"<codegen:{name}>", "exec")
+
+    def fault_line(self, exc: BaseException) -> int:
+        """Source line of the innermost frame of this code in ``exc``'s
+        traceback (0 when the fault was raised elsewhere)."""
+        line = 0
+        tb = exc.__traceback__
+        while tb is not None:
+            if tb.tb_frame.f_code.co_filename == self.code.co_filename:
+                line = self.lines[tb.tb_lineno - 2]
+            tb = tb.tb_next
+        return line
 
 
 class ScalarEmitter:
@@ -340,6 +366,8 @@ class ScalarEmitter:
         self.res = res
         self.heat_on = heat_on
         self.lines: list[str] = []
+        #: Source line of each entry of ``lines``.
+        self.line_of: list[int] = []
         self.depth = 1
         self.ntmp = 0
         self.sites: list[int] = []
@@ -350,6 +378,7 @@ class ScalarEmitter:
 
     def w(self, text: str) -> None:
         self.lines.append("    " * self.depth + text)
+        self.line_of.append(self.cur_line)
 
     def tmp(self) -> str:
         self.ntmp += 1
@@ -368,9 +397,13 @@ class ScalarEmitter:
         self.sites.append(self.cur_line)
         return i
 
+    def site_arg(self) -> str:
+        """Code for the heat-site argument of the next trace call."""
+        return f"_S{self._site()}"
+
     # -- entry ----------------------------------------------------------- #
 
-    def emit(self) -> CompiledKernel:
+    def emit(self, digest: str) -> CompiledKernel:
         fn = self.fn
         param_keys = []
         for sym in self.res.params:
@@ -381,8 +414,9 @@ class ScalarEmitter:
         params = "".join(f", {s.pyname}" for s in self.res.params)
         header = f"def _kernel(_bx, _tx, _bd, _gd{params}):"
         source = header + "\n" + "\n".join(self.lines) + "\n"
-        return CompiledKernel(fn.name, kernel_digest(fn), self.heat_on,
-                              source, tuple(self.sites), tuple(param_keys))
+        return CompiledKernel(fn.name, digest, self.heat_on,
+                              source, tuple(self.sites), tuple(param_keys),
+                              tuple(self.line_of))
 
     # -- statements ------------------------------------------------------ #
 
@@ -428,9 +462,17 @@ class ScalarEmitter:
             key = self._key(d.ctype)
             if d.init is not None:
                 code, _ = self.expr(d.init)
-                self.w(f"{sym.pyname} = _w_{key}({code})")
+                self.store_sym(sym, code)
             else:
                 self.w(f"{sym.pyname} = " + ("0.0" if key[0] == "f" else "0"))
+
+    def load_sym(self, sym: Symbol) -> str:
+        """Code reading local ``sym``'s current value."""
+        return sym.pyname
+
+    def store_sym(self, sym: Symbol, code: str) -> None:
+        """Assign ``code`` to local ``sym``, wrapped like a memory store."""
+        self.w(f"{sym.pyname} = _w_{self._key(sym.ctype)}({code})")
 
     def _indented(self, body_fn) -> None:
         self.depth += 1
@@ -449,7 +491,9 @@ class ScalarEmitter:
             self._indented(lambda: self.stmt(s.other))
 
     def _check_loop_expr(self, e) -> None:
-        """Heat sites are compile-time line constants; the interpreter's
+        """Called right before a loop condition/step is lowered.
+
+        Heat sites are compile-time line constants; the interpreter's
         line at loop-condition/step evaluation is the *last executed body
         statement's* line, which is iteration-dependent.  Bail rather than
         mis-attribute."""
@@ -457,9 +501,9 @@ class ScalarEmitter:
             self.bail("traced access in loop condition/step")
 
     def stmt_while(self, s: A.While) -> None:
-        self._check_loop_expr(s.cond)
         self.w("while True:")
         self.depth += 1
+        self._check_loop_expr(s.cond)
         cond, _ = self.expr(s.cond)
         self.w(f"if not {cond}:")
         self.depth += 1
@@ -471,10 +515,10 @@ class ScalarEmitter:
         self.depth -= 1
 
     def stmt_do_while(self, s: A.DoWhile) -> None:
-        self._check_loop_expr(s.cond)
         self.w("while True:")
         self.depth += 1
         self._tail_loop_body(s.body)
+        self._check_loop_expr(s.cond)
         cond, _ = self.expr(s.cond)
         self.w(f"if not {cond}:")
         self.depth += 1
@@ -483,13 +527,12 @@ class ScalarEmitter:
         self.depth -= 1
 
     def stmt_for(self, s: A.For) -> None:
-        self._check_loop_expr(s.cond)
-        self._check_loop_expr(s.step)
         if s.init is not None:
             self.stmt(s.init)
         self.w("while True:")
         self.depth += 1
         if s.cond is not None:
+            self._check_loop_expr(s.cond)
             cond, _ = self.expr(s.cond)
             self.w(f"if not {cond}:")
             self.depth += 1
@@ -497,6 +540,7 @@ class ScalarEmitter:
             self.depth -= 1
         self._tail_loop_body(s.body)
         if s.step is not None:
+            self._check_loop_expr(s.step)
             self.expr(s.step)
         self.depth -= 1
 
@@ -592,7 +636,7 @@ class ScalarEmitter:
             self.bail(f"unresolved identifier {e.name!r}")
         if isinstance(sym.ctype, (StructType, Array)):
             self.bail("aggregate-typed identifier")
-        return sym.pyname, sym.ctype
+        return self.load_sym(sym), sym.ctype
 
     def e_member(self, e: A.Member) -> tuple[str, CType | None]:
         if not e.arrow and isinstance(e.base, A.Ident) \
@@ -638,15 +682,15 @@ class ScalarEmitter:
             if sym is None:
                 self.bail(f"unresolved identifier {target.name!r}")
             ct = sym.ctype
-            key = self._key(ct)
             step = ct.target.size if isinstance(ct, Pointer) else 1
+            cur = self.load_sym(sym)
             old = None
             if not e.prefix:
                 old = self.tmp()
-                self.w(f"{old} = {sym.pyname}")
+                self.w(f"{old} = {cur}")
             new = self.tmp()
-            self.w(f"{new} = {sym.pyname} {sign} {step}")
-            self.w(f"{sym.pyname} = _w_{key}({new})")
+            self.w(f"{new} = {cur} {sign} {step}")
+            self.store_sym(sym, new)
             return (new if e.prefix else old), ct
         addr, ct = self.addr_of(target)
         key = self._key(ct)
@@ -728,7 +772,6 @@ class ScalarEmitter:
             if sym is None:
                 self.bail(f"unresolved identifier {target.name!r}")
             ct = sym.ctype
-            key = self._key(ct)
             if e.op == "=":
                 new = tv
             else:
@@ -737,8 +780,8 @@ class ScalarEmitter:
                 if isinstance(ct, Pointer) and op in ("+", "-"):
                     val = f"({tv} * {ct.target.size})"
                 new = self.tmp()
-                self.w(f"{new} = {self._binop(op, sym.pyname, val)}")
-            self.w(f"{sym.pyname} = _w_{key}({new})")
+                self.w(f"{new} = {self._binop(op, self.load_sym(sym), val)}")
+            self.store_sym(sym, new)
             return new, ct
         addr, ct = self.addr_of(target)
         key = self._key(ct)
@@ -817,7 +860,7 @@ class ScalarEmitter:
             size = max(1, ct.size)
             trace = TRACE_PY[e.callee.name]
             if self.heat_on:
-                self.w(f"{trace}({ta}, {size}, _S{self._site()})")
+                self.w(f"{trace}({ta}, {size}, {self.site_arg()})")
             else:
                 self.w(f"{trace}({ta}, {size})")
             return ta, ct
@@ -900,7 +943,8 @@ def compile_scalar(fn: A.FunctionDef, heat_on: bool) -> CompiledKernel:
     Raises :class:`CodegenBail` (cached, so repeated launches of an
     uncompilable kernel pay one analysis, not one per launch).
     """
-    key = (kernel_digest(fn), bool(heat_on))
+    digest = kernel_digest(fn)
+    key = (digest, bool(heat_on))
     hit = _SCALAR_CACHE.get(key)
     if hit is not None:
         if isinstance(hit, CodegenBail):
@@ -910,7 +954,7 @@ def compile_scalar(fn: A.FunctionDef, heat_on: bool) -> CompiledKernel:
         if fn.body is None:
             raise CodegenBail("kernel without a body")
         res = resolve_kernel(fn)
-        compiled = ScalarEmitter(fn, res, bool(heat_on)).emit()
+        compiled = ScalarEmitter(fn, res, bool(heat_on)).emit(digest)
     except CodegenBail as bail:
         _SCALAR_CACHE[key] = bail
         raise

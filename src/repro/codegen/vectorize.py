@@ -246,6 +246,8 @@ class CompiledVecKernel:
     __slots__ = ("name", "digest", "source", "code", "sites", "param_keys",
                  "loop_trace")
 
+    entry = "_kernel"
+
     def __init__(self, name: str, digest: str, source: str,
                  sites: tuple[int, ...], param_keys: tuple[str, ...],
                  loop_trace: bool) -> None:
@@ -316,7 +318,7 @@ class VecEmitter(ScalarEmitter):
             return key
         return self.bail(f"varying local of type {ctype.spell()}")
 
-    def emit(self) -> CompiledVecKernel:
+    def emit(self, digest: str) -> CompiledVecKernel:
         fn = self.fn
         param_keys = tuple(self._key(s.ctype) for s in self.res.params)
         if self.has_live:
@@ -327,7 +329,7 @@ class VecEmitter(ScalarEmitter):
         params = "".join(f", {s.pyname}" for s in self.res.params)
         header = f"def _kernel(_VR, _bx, _tx, _bd, _gd{params}):"
         source = header + "\n" + "\n".join(self.lines) + "\n"
-        return CompiledVecKernel(fn.name, kernel_digest(fn), source,
+        return CompiledVecKernel(fn.name, digest, source,
                                  tuple(self.sites), param_keys,
                                  self.loop_trace)
 
@@ -780,7 +782,7 @@ def compile_vec(fn: A.FunctionDef) -> CompiledVecKernel:
             raise CodegenBail("kernel without a body")
         res = resolve_kernel(fn)
         has_live = analyze_kernel(fn, res)
-        compiled = VecEmitter(fn, res, has_live).emit()
+        compiled = VecEmitter(fn, res, has_live).emit(key)
     except CodegenBail as bail:
         _VEC_CACHE[key] = bail
         raise

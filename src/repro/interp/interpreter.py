@@ -39,6 +39,7 @@ from .values import (
     ReturnSignal,
     load,
     numpy_dtype,
+    printf,
     store,
 )
 
@@ -153,6 +154,12 @@ class Interpreter:
         #: per-call frames feeding it (see :meth:`_alloc_local`).
         self._cell_pool: dict[int, list] = {}
         self._frames: list[list] = []
+        #: Compiled lowerings (or the :class:`CodegenBail` that stopped
+        #: them) keyed by ``(id(FunctionDef), kind)``: each function is
+        #: digested and bound once per interpreter, not once per launch.
+        self._compiled: dict[tuple[int, str], Any] = {}
+        #: ``repro.codegen.host.bind_host`` once a host call needed it.
+        self._bind_host = None
         self._init_globals()
 
     # ------------------------------------------------------------------ #
@@ -185,21 +192,29 @@ class Interpreter:
     def call_function(self, name: str, args: list[Any]) -> Any:
         fn = self.functions.get(name)
         if fn is None or fn.body is None:
-            return self._call_builtin(name, args, raw_args=None, env=None)
+            return self._call_builtin(name, args)
         return self._invoke(fn, args)
 
     def _invoke(self, fn: A.FunctionDef, args: list[Any]) -> Any:
         """Call an already-resolved function (kernel loops skip the name
-        lookup this way)."""
-        env = self.globals.child()
+        lookup this way).  Host functions run their compiled lowering
+        when one is available (:meth:`_host_function`)."""
         if len(args) != len(fn.params):
             raise InterpError(
                 f"{fn.name} expects {len(fn.params)} arguments, got {len(args)}")
+        host = self._host_function(fn)
         space = self._space
         frame: list = []
         self._frames.append(frame)
         self.call_stack.append((fn.name, self._line))
         try:
+            if host is not None:
+                try:
+                    return host(self, *args)
+                except InterpError as exc:
+                    self._decorate_error(exc)
+                    raise
+            env = self.globals.child()
             for param, value in zip(fn.params, args):
                 lv = self._alloc_local(param.name, param.ctype)
                 store(space, lv, value)
@@ -216,17 +231,28 @@ class Interpreter:
             for alloc in frame:
                 pool.setdefault(alloc.size, []).append(alloc)
 
-    def _alloc_local(self, name: str, ctype: CType) -> LValue:
-        """A zeroed host cell for one local/param.
+    def _host_function(self, fn: A.FunctionDef):
+        """The compiled lowering of host function ``fn``, or ``None`` to
+        tree-walk it: on the ``interp`` backend, inside kernels, and under
+        hooks (the debugger needs per-statement control)."""
+        if self._thread or self.hooks is not None or self.backend == "interp":
+            return None
+        if self._bind_host is None:
+            from ..codegen.host import bind_host
+            self._bind_host = bind_host
+        return self._bind_host(self, fn)
+
+    def _alloc_cell(self, name: str, size: int):
+        """A zeroed host cell of ``size`` bytes in the current frame.
 
         Cells are pooled per size: a kernel runs its body once per simulated
         thread, and allocating a fresh host block per local per thread both
         leaks address space and pays a sorted-insert each time.  Cells
         allocated inside a function frame return to the pool when the frame
         exits (addresses escaping a returned frame are C undefined
-        behaviour, so reuse is fair game).
+        behaviour, so reuse is fair game).  Compiled host code calls this
+        at every declaration too, so host addresses match the interpreter.
         """
-        size = max(1, ctype.size)
         pool = self._cell_pool.get(size)
         if pool:
             alloc = pool.pop()
@@ -236,6 +262,11 @@ class Interpreter:
                 size, MemoryKind.HOST, label=f"stack:{name}")
         if self._frames:
             self._frames[-1].append(alloc)
+        return alloc
+
+    def _alloc_local(self, name: str, ctype: CType) -> LValue:
+        """A zeroed host cell for one local/param (see :meth:`_alloc_cell`)."""
+        alloc = self._alloc_cell(name, max(1, ctype.size))
         if type(ctype) is Pointer or (
                 type(ctype) is Primitive and ctype.name in _PRIM_DTYPES):
             # Pre-resolve scalar cells: load/store skip the address lookup.
@@ -594,13 +625,17 @@ class Interpreter:
         count = 1
         if e.count is not None:
             count = int(self.eval(e.count, env)[0])
-        nbytes = max(1, e.ctype.size * count)
-        ptr = self.runtime.host_malloc(nbytes, label="new")
-        self.tracer.trc_register(ptr.alloc)  # heap memory is traced
+        addr = self._heap_alloc(max(1, e.ctype.size * count), "new")
         if e.init is not None:
             value, _ = self.eval(e.init, env)
-            store(self._space, LValue(ptr.addr, e.ctype), value)
-        return ptr.addr, Pointer(e.ctype)
+            store(self._space, LValue(addr, e.ctype), value)
+        return addr, Pointer(e.ctype)
+
+    def _heap_alloc(self, nbytes: int, label: str) -> int:
+        """``new``/``malloc``: a traced host heap block's address."""
+        ptr = self.runtime.host_malloc(nbytes, label=label)
+        self.tracer.trc_register(ptr.alloc)  # heap memory is traced
+        return ptr.addr
 
     # -- calls ---------------------------------------------------------- #
 
@@ -614,20 +649,20 @@ class Interpreter:
                 return lv.addr, lv.ctype
             return load(self._space, lv), lv.ctype
         if name == "XplAllocData":
-            return self._make_alloc_data(e, env), None
+            args = [self.eval(e.args[i], env)[0] for i in range(3)]
+            return self._alloc_data(*args), None
         fn = self.functions.get(name)
         if fn is not None and fn.body is not None:
             args = [self.eval(a, env)[0] for a in e.args]
             return self._invoke(fn, args), fn.return_type
         args = [self.eval(a, env)[0] for a in e.args]
-        return self._call_builtin(name, args, raw_args=e.args, env=env), None
+        label = alloc_label(e.args) if name in _ALLOCATORS else "managed"
+        return self._call_builtin(name, args, label), None
 
-    def _make_alloc_data(self, e: A.Call, env: _Env) -> XplAllocData:
-        addr, _ = self.eval(e.args[0], env)
-        name = self.eval(e.args[1], env)[0]
-        size = int(self.eval(e.args[2], env)[0])
+    def _alloc_data(self, addr, name, size) -> XplAllocData:
+        """``XplAllocData(addr, name, size)``: one diagnostic descriptor."""
         alloc = self._space.find(int(addr))
-        return XplAllocData(int(addr), str(name), size, alloc)
+        return XplAllocData(int(addr), str(name), int(size), alloc)
 
     def _thread_builtin(self, name: str) -> int | None:
         return self._thread.get(name)
@@ -687,20 +722,22 @@ class Interpreter:
     # -- builtins --------------------------------------------------------- #
 
     def _call_builtin(self, name: str, args: list[Any],
-                      raw_args, env) -> Any:
+                      label: str = "managed") -> Any:
+        """Run builtin ``name``; ``label`` names a CUDA allocation (see
+        :func:`alloc_label`)."""
         rt = self.runtime
         space = self._space
 
         if name in ("cudaMallocManaged", "trcMallocManaged"):
             out_ptr, size = int(args[0]), int(args[1])
-            ptr = rt.malloc_managed(size, label=self._label_for(raw_args, env))
+            ptr = rt.malloc_managed(size, label=label)
             store(space, LValue(out_ptr, Pointer(Primitive("size_t", 8))), ptr.addr)
             if name.startswith("trc"):
                 self.tracer.trc_register(ptr.alloc)
             return 0
         if name in ("cudaMalloc", "trcMalloc"):
             out_ptr, size = int(args[0]), int(args[1])
-            ptr = rt.malloc(size, label=self._label_for(raw_args, env))
+            ptr = rt.malloc(size, label=label)
             store(space, LValue(out_ptr, Pointer(Primitive("size_t", 8))), ptr.addr)
             if name.startswith("trc"):
                 self.tracer.trc_register(ptr.alloc)
@@ -709,9 +746,7 @@ class Interpreter:
             self._free_addr(int(args[0]), trace=name.startswith("trc"))
             return 0
         if name == "malloc":
-            ptr = rt.host_malloc(int(args[0]), label="malloc")
-            self.tracer.trc_register(ptr.alloc)
-            return ptr.addr
+            return self._heap_alloc(int(args[0]), "malloc")
         if name in ("cudaMemcpy", "trcMemcpy"):
             dst, src, nbytes = int(args[0]), int(args[1]), int(args[2])
             kind = _MEMCPY_KINDS[int(args[3])] if len(args) > 3 \
@@ -747,26 +782,8 @@ class Interpreter:
             self._run_kernel(kernel, grid, block, list(args[5:]))
             return 0
         if name == "printf":
-            fmt = str(args[0]).replace("\\n", "\n").replace("\\t", "\t")
-            fmt = fmt.replace("%d", "{}").replace("%f", "{}").replace("%s", "{}")
-            fmt = fmt.replace("%lu", "{}").replace("%g", "{}").replace("%p", "{:#x}")
-            self.out.write(fmt.format(*args[1:]))
-            return 0
+            return printf(self.out, *args)
         raise InterpError(f"unknown function {name!r}")
-
-    def _label_for(self, raw_args, env) -> str:
-        # Label managed allocations by the pointer expression, e.g.
-        # cudaMallocManaged((void**)&a, ...) -> "a".
-        if not raw_args:
-            return "managed"
-        arg = raw_args[0]
-        while isinstance(arg, (A.Cast,)):
-            arg = arg.operand
-        if isinstance(arg, A.Unary) and arg.op == "&":
-            inner = arg.operand
-            from ..instrument.unparse import unparse_expr
-            return unparse_expr(inner)
-        return "managed"
 
     def _as_ptr(self, addr: int) -> DevicePtr:
         alloc = self._space.find(addr)
@@ -793,7 +810,28 @@ class Interpreter:
             return None, None
 
 
+#: Builtins whose allocation is labelled by :func:`alloc_label`.
+_ALLOCATORS = frozenset(
+    {"cudaMallocManaged", "trcMallocManaged", "cudaMalloc", "trcMalloc"})
+
+
+def alloc_label(raw_args) -> str:
+    """Label a CUDA allocation by its pointer expression, e.g.
+    ``cudaMallocManaged((void**)&a, ...)`` -> ``"a"``."""
+    if not raw_args:
+        return "managed"
+    arg = raw_args[0]
+    while isinstance(arg, A.Cast):
+        arg = arg.operand
+    if isinstance(arg, A.Unary) and arg.op == "&":
+        from ..instrument.unparse import unparse_expr
+        return unparse_expr(arg.operand)
+    return "managed"
+
+
 def _cdiv(a, b):
+    if not b:
+        raise InterpError("division by zero")
     if isinstance(a, int) and isinstance(b, int):
         q = abs(a) // abs(b)
         return q if (a >= 0) == (b >= 0) else -q
@@ -801,6 +839,8 @@ def _cdiv(a, b):
 
 
 def _cmod(a, b):
+    if not b:
+        raise InterpError("modulo by zero")
     return a - _cdiv(a, b) * b
 
 

@@ -16,7 +16,7 @@ from ..instrument.typesys import Array, CType, Pointer, Primitive, StructType
 from ..memsim import AddressSpace, Allocation
 
 __all__ = [
-    "LValue", "numpy_dtype", "load", "store",
+    "LValue", "numpy_dtype", "load", "store", "printf",
     "ReturnSignal", "BreakSignal", "ContinueSignal", "InterpError",
 ]
 
@@ -188,6 +188,19 @@ def _reject(space: AddressSpace, addr: int) -> None:
     if space.find(addr) is None:
         raise InterpError(f"dereference of invalid address {addr:#x}")
     raise InterpError("interpreted programs need materialized memory")
+
+
+def printf(out, fmt, *args) -> int:
+    """C ``printf`` of the interpreted program into ``out`` (returns 0).
+
+    The one formatter: the interpreter's builtin, compiled kernels and
+    compiled host code all call it, so their output cannot drift.
+    """
+    text = str(fmt).replace("\\n", "\n").replace("\\t", "\t")
+    text = text.replace("%d", "{}").replace("%f", "{}").replace("%s", "{}")
+    text = text.replace("%lu", "{}").replace("%g", "{}").replace("%p", "{:#x}")
+    out.write(text.format(*args))
+    return 0
 
 
 def sizeof(ctype: CType) -> int:

@@ -168,6 +168,9 @@ class Tracer(ObserverBase):
         self.backend_launches: dict[str, int] = {}
         #: Total tiers dropped across launches (vec -> codegen -> interp).
         self.backend_fallbacks = 0
+        #: Host functions by the tier that runs them; ``interp`` entries
+        #: are host fallbacks (a static bail, or a tracer subclass).
+        self.host_functions: dict[str, int] = {}
 
     # ------------------------------------------------------------------ #
     # wiring
@@ -290,13 +293,17 @@ class Tracer(ObserverBase):
         self.backend_launches[used] = self.backend_launches.get(used, 0) + 1
         self.backend_fallbacks += fallbacks
 
+    def note_host(self, used: str) -> None:
+        """Record which tier runs one host function (once per function)."""
+        self.host_functions[used] = self.host_functions.get(used, 0) + 1
+
     def backend_info(self) -> dict | None:
         """Backend attribution for report/JSONL headers, or ``None``.
 
         ``None`` when running the plain interpreter (the historical
         default, so existing artifacts are byte-identical); otherwise the
-        requested backend, per-backend launch counts, and the total
-        number of per-launch fallbacks.
+        requested backend, per-backend launch counts, the total number of
+        per-launch fallbacks, and host functions by tier (``host``).
         """
         if self.backend == "interp":
             return None
@@ -305,6 +312,8 @@ class Tracer(ObserverBase):
             "launches": {k: self.backend_launches[k]
                          for k in sorted(self.backend_launches)},
             "fallbacks": self.backend_fallbacks,
+            "host": {k: self.host_functions[k]
+                     for k in sorted(self.host_functions)},
         }
 
     # ------------------------------------------------------------------ #

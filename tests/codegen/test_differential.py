@@ -69,8 +69,11 @@ def test_backends_byte_match_the_interpreter(name):
             "heat": _heat_bytes(heat),
             "signature": sig.to_json(),
         }
-        if backend == "codegen-vec":
+        if backend != "interp":
             info = it.tracer.backend_info()
+            assert info["host"] == {"codegen": 1}, (
+                f"{name}: host code fell back {info}")
+        if backend == "codegen-vec":
             assert info["fallbacks"] == 0, (
                 f"{name}: vectorizer fell back {info}")
     assert results["codegen"] == results["interp"]

@@ -94,6 +94,48 @@ int main() { return 0; }
             compile_scalar(fn, heat_on=False)
         assert second.value is first.value  # one analysis, not one per launch
 
+    @pytest.mark.parametrize("backend", ["codegen", "codegen-vec", "auto"])
+    def test_each_function_is_digested_once_per_interpreter(
+            self, backend, monkeypatch):
+        from repro.codegen import emitter, host, vectorize
+
+        digested = []
+        real = emitter.kernel_digest
+
+        def counting(fn):
+            digested.append(fn.name)
+            return real(fn)
+
+        for module in (emitter, vectorize, host):
+            monkeypatch.setattr(module, "kernel_digest", counting)
+        src = HEADER + """
+__global__ void push(float* x, float* v, int n) {
+    int i = blockIdx.x * blockDim.x + threadIdx.x;
+    if (i < n) { x[i] = x[i] + v[i]; }
+}
+__global__ void pull(float* x, float* v, int n) {
+    int i = blockIdx.x * blockDim.x + threadIdx.x;
+    if (i < n) { v[i] = v[i] - x[i] * 0.5; }
+}
+int main() {
+    float* x;
+    float* v;
+    cudaMallocManaged((void**)&x, 64 * sizeof(float));
+    cudaMallocManaged((void**)&v, 64 * sizeof(float));
+    for (int i = 0; i < 64; i++) { x[i] = i; v[i] = 1.0; }
+    for (int step = 0; step < 50; step++) {
+        push<<<1, 64>>>(x, v, 64);
+        pull<<<1, 64>>>(x, v, 64);
+    }
+    return 0;
+}
+"""
+        it = run_program(src, tracer=Tracer(), backend=backend)
+        assert sum(it.tracer.backend_launches.values()) == 100
+        kernels = [name for name in digested if name != "main"]
+        assert sorted(kernels) == ["pull", "push"]
+        assert digested.count("main") == 1
+
     def test_compiled_shape(self):
         ck = compile_scalar(_kernel(SAXPY, "saxpy"), heat_on=True)
         assert ck.source.startswith("def _kernel(_bx, _tx, _bd, _gd")
@@ -109,7 +151,8 @@ class TestScalarOracle:
         assert (_describe_no_backend(it_a.tracer)
                 == _describe_no_backend(it_b.tracer))
         assert it_b.tracer.backend_info() == {
-            "backend": "codegen", "launches": {"codegen": 2}, "fallbacks": 0}
+            "backend": "codegen", "launches": {"codegen": 2}, "fallbacks": 0,
+            "host": {"codegen": 1}}
 
     def test_runtime_errors_match_interp(self):
         src = HEADER + """

@@ -39,9 +39,10 @@ int main() {
 """
 
 
-def error_from(source, *, source_name="prog.cu"):
+def error_from(source, *, source_name="prog.cu", backend=None):
     with pytest.raises(InterpError) as info:
-        run_program(source, instrumented=False, source_name=source_name)
+        run_program(source, instrumented=False, source_name=source_name,
+                    backend=backend)
     return info.value
 
 
@@ -85,3 +86,74 @@ class TestNestedContext:
         exc = error_from(NESTED_ERROR)
         assert str(exc).startswith("undefined identifier 'oops'")
         assert str(exc).endswith("(at prog.cu:2)")
+
+
+BACKENDS = ("interp", "codegen", "codegen-vec", "auto")
+
+HOST_DIV_ZERO = """\
+int ratio(int a, int b) {
+    int c = a / b;
+    return c;
+}
+
+int main() {
+    int b = 0;
+    return ratio(7, b);
+}
+"""
+
+HOST_MOD_ZERO = """\
+int main() {
+    int z = 0;
+    for (int i = 0; i < 4; i++) {
+        z = i % z;
+    }
+    return z;
+}
+"""
+
+KERNEL_DIV_ZERO = """\
+__global__ void split(int* a, int n, int z) {
+    int i = blockIdx.x * blockDim.x + threadIdx.x;
+    if (i < n) {
+        int c = a[i] / z;
+        a[i] = c;
+    }
+}
+
+int main() {
+    int a[64];
+    split<<<2, 32>>>(a, 64, 0);
+    return 0;
+}
+"""
+
+
+def context(exc):
+    return str(exc), (exc.site.file, exc.site.line), exc.stack, exc.thread
+
+
+class TestDivisionByZero:
+    """A zero divisor raises the same located InterpError on every tier
+    (compiled host code and compiled kernels included), never a bare
+    ZeroDivisionError."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_host_division(self, backend):
+        exc = error_from(HOST_DIV_ZERO, backend=backend)
+        assert context(exc) == (
+            "division by zero (at prog.cu:2)", ("prog.cu", 2),
+            ("main", "ratio"), None)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_host_modulo_in_loop(self, backend):
+        exc = error_from(HOST_MOD_ZERO, backend=backend)
+        assert context(exc) == (
+            "modulo by zero (at prog.cu:4)", ("prog.cu", 4), ("main",), None)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_kernel_division(self, backend):
+        exc = error_from(KERNEL_DIV_ZERO, backend=backend)
+        assert context(exc) == (
+            "division by zero (at prog.cu:4 [blockIdx.x=0 threadIdx.x=0])",
+            ("prog.cu", 4), ("main", "split"), (0, 0))

@@ -210,8 +210,13 @@ def _build_vec(interp, fn):
     return ck, bind(interp, ck, False)
 
 
-def _run_vec(interp, fn, grid, block, args, heat_on) -> bool:
-    """One vectorized launch; ``False`` means bail (values restored)."""
+def _run_vec(interp, fn, grid, block, args, heat_on) -> VecRun | None:
+    """One vectorized launch; ``None`` means bail (values restored).
+
+    The kernel's last successful launch leaves its :class:`Geometry`
+    under ``(id(fn), "vec-geometry")`` -- one record per kernel, replaced
+    by every successful launch and left alone by a bail.
+    """
     # CodegenBail propagates to the ladder.
     ck, kfn = memoized(interp, fn, "vec", lambda: _build_vec(interp, fn))
     if heat_on and (ck.loop_trace or 0 in ck.sites):
@@ -221,7 +226,8 @@ def _run_vec(interp, fn, grid, block, args, heat_on) -> bool:
     sites = None
     if heat_on:
         sites = tuple(SourceSite(interp.source_name, ln) for ln in ck.sites)
-    vr = VecRun(interp, grid, block, sites)
+    gkey = (id(fn), "vec-geometry")
+    vr = VecRun(interp, grid, block, sites, interp._compiled.get(gkey))
     try:
         kfn(vr, vr.bx, vr.tx, block, grid, *wargs)
         vr.finish()
@@ -230,8 +236,9 @@ def _run_vec(interp, fn, grid, block, args, heat_on) -> bool:
         # per-thread (division by zero, invalid address): restore values
         # and let a per-thread tier reproduce it authentically.
         vr.restore()
-        return False
-    return True
+        return None
+    interp._compiled[gkey] = vr.geometry()
+    return vr
 
 
 def _tracer_eligible(tracer) -> bool:
@@ -257,8 +264,10 @@ def run_compiled(interp, fn, grid: int, block: int, args,
     if mode in ("auto", "codegen-vec"):
         if eligible and tracer.sample_mode == "off":
             try:
-                if _run_vec(interp, fn, grid, block, args, heat_on):
-                    tracer.note_launch("codegen-vec", fallbacks)
+                vr = _run_vec(interp, fn, grid, block, args, heat_on)
+                if vr is not None:
+                    tracer.note_launch("codegen-vec", fallbacks,
+                                       reused=vr.reused)
                     return
                 fallbacks += 1
             except (CodegenBail, VecBail):

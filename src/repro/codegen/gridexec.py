@@ -14,6 +14,13 @@ scalar backend with no half-applied instrumentation.
 Values, unlike instrumentation, are applied immediately (scatters write
 through to the allocation payloads); :meth:`restore` reverts them from
 pre-write snapshots when the run bails.
+
+Repeat launches of one kernel usually address the same words: a
+successful launch leaves a :class:`Geometry` record, and the next launch
+of that kernel reuses each resolved access whose inputs (address and
+mask bytes, allocation identity) are unchanged.  When every access
+matches, the dependence proof and the TraceBatcher word count -- pure
+functions of the resolved accesses -- are taken from the record too.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ import numpy as np
 from ..interp.values import _typed_view
 from .emitter import DTYPES
 
-__all__ = ["VecBail", "VecRun"]
+__all__ = ["Geometry", "VecBail", "VecRun"]
 
 
 class VecBail(Exception):
@@ -43,7 +50,7 @@ class _Res:
 
     __slots__ = ("kind", "dt", "size", "alloc", "elem", "words", "lanes",
                  "lane0", "count", "site_i", "traced", "wmin", "wmax",
-                 "_uniq")
+                 "_uniq", "_elem_unique")
 
     def __init__(self, kind, dt, size, alloc, elem, words, lanes, lane0,
                  count, site_i, traced):
@@ -61,6 +68,7 @@ class _Res:
         self.wmin = int(words.min())
         self.wmax = int(words.max())
         self._uniq = None
+        self._elem_unique = None
 
     @property
     def uniq(self) -> np.ndarray:
@@ -68,21 +76,68 @@ class _Res:
             self._uniq = np.unique(self.words)
         return self._uniq
 
+    @property
+    def elem_unique(self) -> bool:
+        """No two active lanes target the same element."""
+        if self._elem_unique is None:
+            self._elem_unique = self.elem.size == np.unique(self.elem).size
+        return self._elem_unique
+
+
+class Geometry:
+    """What one successful launch of a kernel resolved, for the next.
+
+    ``keys[i]``/``res[i]`` are the inputs and the resolved access (or
+    ``None`` for an all-masked access) of the i-th heap access in
+    statement order; ``smt`` is the per-plan shadow-presence tuple and
+    ``seen`` the TraceBatcher word count booked under it (both ``None``
+    when the tracer was off).  Every field is read-only once built.
+    """
+
+    __slots__ = ("shape", "bx", "tx", "keys", "res", "smt", "seen")
+
+    def __init__(self, shape, bx, tx, keys, res, smt, seen) -> None:
+        self.shape = shape
+        self.bx = bx
+        self.tx = tx
+        self.keys = keys
+        self.res = res
+        self.smt = smt
+        self.seen = seen
+
 
 class VecRun:
     """Per-launch state for one vectorized kernel execution."""
 
-    def __init__(self, interp, grid: int, block: int, sites) -> None:
+    def __init__(self, interp, grid: int, block: int, sites,
+                 prev: Geometry | None = None) -> None:
         self.interp = interp
         self.tracer = interp.tracer
         self.space = interp._space
         self.n = grid * block
-        self.bx = np.repeat(np.arange(grid, dtype=np.int64), block)
-        self.tx = np.tile(np.arange(block, dtype=np.int64), grid)
+        if prev is not None and prev.shape != (grid, block):
+            prev = None
+        if prev is not None:
+            self.bx, self.tx = prev.bx, prev.tx
+        else:
+            self.bx = np.repeat(np.arange(grid, dtype=np.int64), block)
+            self.tx = np.tile(np.arange(block, dtype=np.int64), grid)
+            self.bx.flags.writeable = False
+            self.tx.flags.writeable = False
+        self.shape = (grid, block)
         self.sites = sites
         self.plans: list[_Res] = []
         self._snapshots: dict[int, tuple] = {}
         self._finished = False
+        self._prev = prev
+        #: Every access so far matched ``prev`` at the same position.
+        self._hit = prev is not None
+        self._keys: list[tuple] = []
+        self._res: list[_Res | None] = []
+        self._smt: tuple | None = None
+        self._seen: int | None = None
+        #: The whole launch reused ``prev`` (set by :meth:`finish`).
+        self.reused = False
 
     # -- lane helpers ---------------------------------------------------
 
@@ -193,13 +248,37 @@ class VecRun:
         return np.nonzero(m)[0]
 
     def _resolve(self, key, addr, m, kind, site_i, traced):
+        a = np.asarray(addr)
+        if m is None:
+            mkey = None
+        else:
+            mk = np.asarray(m)
+            mkey = (mk.dtype.str, mk.shape, mk.tobytes())
+        sig = (key, kind, site_i, traced, a.dtype.str, a.shape, a.tobytes(),
+               mkey)
+        i = len(self._keys)
+        self._keys.append(sig)
+        if self._hit:
+            prev = self._prev
+            if i < len(prev.keys) and prev.keys[i] == sig:
+                res = prev.res[i]
+                if res is None or (self.space.find(res.alloc.base)
+                                   is res.alloc
+                                   and res.alloc.data is not None):
+                    self._res.append(res)
+                    return res
+            self._hit = False
+        res = self._resolve_fresh(key, a, m, kind, site_i, traced)
+        self._res.append(res)
+        return res
+
+    def _resolve_fresh(self, key, a, m, kind, site_i, traced):
         dt = DTYPES[key]
         size = dt.itemsize
         count = self.n if m is None else int(np.count_nonzero(m))
         if count == 0:
             return None
         lane0 = self._lanes_of(m, count)
-        a = np.asarray(addr)
         if a.ndim == 0:
             act = np.full(count, int(a), dtype=np.int64)
         else:
@@ -270,7 +349,7 @@ class VecRun:
             out = iv
         view = _typed_view(res.alloc, dt)
         elem = res.elem
-        if elem.size != np.unique(elem).size:
+        if not res.elem_unique:
             # Duplicate targets: make last-wins explicit (numpy leaves the
             # order of duplicate fancy assignments unspecified).
             _, first = np.unique(elem[::-1], return_index=True)
@@ -354,7 +433,7 @@ class VecRun:
                     if p.uniq.size != p.words.size:
                         raise VecBail("colliding words across lanes")
 
-    def _batcher_seen(self) -> int | None:
+    def _batcher_seen(self, present) -> int | None:
         """Words the interpreter's TraceBatcher would tally for this
         launch, or ``None`` when parity cannot be proven.
 
@@ -375,10 +454,11 @@ class VecRun:
         to the same total), so that case is allowed; a boundary touch on
         a key *with* colliding words returns ``None`` and the launch
         falls back to the scalar backend.
+
+        ``present`` flags, per plan, a traced access to a shadowed
+        allocation (only those reach the batcher).
         """
-        smt = self.tracer.smt
-        traced = [p for p in self.plans
-                  if p.traced and smt.lookup(p.alloc.base) is not None]
+        traced = [p for p, on in zip(self.plans, present) if on]
         if not traced:
             return 0
         n = self.n
@@ -438,26 +518,41 @@ class VecRun:
         return int(counts.sum())
 
     def finish(self) -> None:
-        """Validate the launch, then apply batched shadow/heat updates."""
+        """Validate the launch, then apply batched shadow/heat updates.
+
+        A launch whose every access matched the previous launch's
+        :class:`Geometry` skips :meth:`_check` (the record's launch
+        passed it on the same plans) and, under the same shadow
+        presence, books the recorded :meth:`_batcher_seen` count.
+        """
         if self._finished:
             return
         self._finished = True
-        self._check()
+        prev = self._prev
+        self.reused = self._hit and len(self._keys) == len(prev.keys)
+        if not self.reused:
+            self._check()
         tracer = self.tracer
         if tracer is None or not tracer.enabled:
             return
-        seen = self._batcher_seen()
-        if seen is None:
-            raise VecBail("cross-lane trace coalescing with colliding words")
+        smt = tracer.smt
+        blocks = [smt.lookup(p.alloc.base) if p.traced else None
+                  for p in self.plans]
+        present = tuple(b is not None for b in blocks)
+        if self.reused and present == prev.smt:
+            seen = prev.seen
+        else:
+            seen = self._batcher_seen(present)
+            if seen is None:
+                raise VecBail(
+                    "cross-lane trace coalescing with colliding words")
+        self._smt = present
+        self._seen = seen
         tracer.flush_trace()
         proc = tracer.current_proc
         heat = tracer.heat
-        smt = tracer.smt
         sites = self.sites
-        for p in self.plans:
-            if not p.traced:
-                continue
-            block = smt.lookup(p.alloc.base)
+        for p, block in zip(self.plans, blocks):
             if block is None:
                 continue
             tracer._apply_words(block, proc, p.kind, p.words, count=0)
@@ -471,6 +566,12 @@ class VecRun:
                     heat.record(p.alloc, proc, is_write=True,
                                 idx=p.words, site=site, n=p.count)
         tracer.note_words(seen)
+
+    def geometry(self) -> Geometry:
+        """The record a later launch of this kernel may reuse (only
+        meaningful once :meth:`finish` succeeded)."""
+        return Geometry(self.shape, self.bx, self.tx, self._keys, self._res,
+                        self._smt, self._seen)
 
     def restore(self) -> None:
         """Revert every scattered allocation to its pre-launch payload."""

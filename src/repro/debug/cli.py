@@ -89,7 +89,11 @@ def main(argv: list[str] | None = None) -> int:
         source = to_mini_cuda(spec)
         source_name = f"spatter-{spec.name}.cu"
     elif args.source:
-        source = Path(args.source).read_text()
+        try:
+            source = Path(args.source).read_text()
+        except OSError as exc:
+            print(f"repro-debug: {exc}", file=sys.stderr)
+            return 2
         source_name = Path(args.source).name
     else:
         parser.error("either SOURCE or --spatter is required")

@@ -157,6 +157,8 @@ class Interpreter:
         #: Compiled lowerings (or the :class:`CodegenBail` that stopped
         #: them) keyed by ``(id(FunctionDef), kind)``: each function is
         #: digested and bound once per interpreter, not once per launch.
+        #: Kind ``"vec-geometry"`` holds a vectorized kernel's last launch
+        #: geometry (:class:`repro.codegen.gridexec.Geometry`).
         self._compiled: dict[tuple[int, str], Any] = {}
         #: ``repro.codegen.host.bind_host`` once a host call needed it.
         self._bind_host = None

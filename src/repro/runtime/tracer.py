@@ -168,6 +168,9 @@ class Tracer(ObserverBase):
         self.backend_launches: dict[str, int] = {}
         #: Total tiers dropped across launches (vec -> codegen -> interp).
         self.backend_fallbacks = 0
+        #: Vectorized launches that reused their kernel's previous launch
+        #: geometry (see :class:`repro.codegen.gridexec.Geometry`).
+        self.backend_reused = 0
         #: Host functions by the tier that runs them; ``interp`` entries
         #: are host fallbacks (a static bail, or a tracer subclass).
         self.host_functions: dict[str, int] = {}
@@ -287,11 +290,14 @@ class Tracer(ObserverBase):
         self._epoch_seen += n
         self._epoch_recorded += n
 
-    def note_launch(self, used: str, fallbacks: int = 0) -> None:
-        """Record which backend executed a kernel launch (and how many
-        tiers it fell through to get there)."""
+    def note_launch(self, used: str, fallbacks: int = 0,
+                    reused: bool = False) -> None:
+        """Record which backend executed a kernel launch (how many tiers
+        it fell through to get there, and whether it reused the previous
+        launch's geometry)."""
         self.backend_launches[used] = self.backend_launches.get(used, 0) + 1
         self.backend_fallbacks += fallbacks
+        self.backend_reused += reused
 
     def note_host(self, used: str) -> None:
         """Record which tier runs one host function (once per function)."""
@@ -303,7 +309,9 @@ class Tracer(ObserverBase):
         ``None`` when running the plain interpreter (the historical
         default, so existing artifacts are byte-identical); otherwise the
         requested backend, per-backend launch counts, the total number of
-        per-launch fallbacks, and host functions by tier (``host``).
+        per-launch fallbacks, host functions by tier (``host``), and the
+        vectorized launches that reused their kernel's previous launch
+        geometry (``reused``).
         """
         if self.backend == "interp":
             return None
@@ -314,6 +322,7 @@ class Tracer(ObserverBase):
             "fallbacks": self.backend_fallbacks,
             "host": {k: self.host_functions[k]
                      for k in sorted(self.host_functions)},
+            "reused": self.backend_reused,
         }
 
     # ------------------------------------------------------------------ #

@@ -121,8 +121,12 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    a = _load_signature(args.a)
-    b = _load_signature(args.b)
+    try:
+        a = _load_signature(args.a)
+        b = _load_signature(args.b)
+    except OSError as exc:
+        print(f"repro-sig compare: {exc}", file=sys.stderr)
+        return 2
     sim = run_similarity(a, b)
     if args.json:
         print(json.dumps(sim, indent=1, sort_keys=True))

@@ -64,6 +64,9 @@ def _cmd_merge(args: argparse.Namespace) -> int:
     except (TruncatedSegmentError, IncompatibleStreamError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:
+        print(f"repro-agg merge: {exc}", file=sys.stderr)
+        return 2
     paths = merged.write(args.out, report=not args.no_report,
                          why=not args.no_why)
     s = merged.summary

@@ -249,6 +249,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"unknown platform {args.platform!r}; known: "
               + ", ".join(sorted(PLATFORM_ALIASES)), file=sys.stderr)
         return 2
+    try:
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"repro-trace: {exc}", file=sys.stderr)
+        return 2
     run_traced(args.workload, preset, args.out,
                materialize=not args.footprint, backend=args.backend)
     return 0

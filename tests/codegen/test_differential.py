@@ -73,6 +73,8 @@ def test_backends_byte_match_the_interpreter(name):
             info = it.tracer.backend_info()
             assert info["host"] == {"codegen": 1}, (
                 f"{name}: host code fell back {info}")
+        if backend == "codegen":
+            assert info["reused"] == 0, f"{name}: scalar tier reused {info}"
         if backend == "codegen-vec":
             assert info["fallbacks"] == 0, (
                 f"{name}: vectorizer fell back {info}")
@@ -126,6 +128,16 @@ def test_interp_artifacts_carry_no_backend_records(tmp_path):
     raw = paths["events"].read_text()
     assert '"type": "backend"' not in raw
     assert "backend_fallbacks" not in paths["metrics"].read_text()
+
+
+def test_repeat_launches_reuse_their_geometry():
+    """mc-lulesh relaunches each kernel over the same arrays: every
+    launch after a kernel's first reuses that kernel's geometry."""
+    it = run_program(SOURCES["mc-lulesh"], tracer=Tracer(),
+                     backend="codegen-vec", source_name="mc-lulesh.cu")
+    assert it.tracer.backend_info() == {
+        "backend": "codegen-vec", "launches": {"codegen-vec": 24},
+        "fallbacks": 0, "host": {"codegen": 1}, "reused": 22}
 
 
 def test_signature_vectors_identical_to_interp_reference():

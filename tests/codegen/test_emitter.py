@@ -152,7 +152,7 @@ class TestScalarOracle:
                 == _describe_no_backend(it_b.tracer))
         assert it_b.tracer.backend_info() == {
             "backend": "codegen", "launches": {"codegen": 2}, "fallbacks": 0,
-            "host": {"codegen": 1}}
+            "host": {"codegen": 1}, "reused": 0}
 
     def test_runtime_errors_match_interp(self):
         src = HEADER + """

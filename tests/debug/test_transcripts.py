@@ -117,6 +117,14 @@ class TestDeterminism:
         assert b"entering gather_kernel<<<" in outs[0]
 
 
+    def test_missing_source_is_a_one_line_error(self, tmp_path, capsys):
+        rc = main([str(tmp_path / "nope.cu")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("repro-debug: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+
 class TestBlameParity:
     def test_explain_chain_is_the_shared_renderer(self):
         engine = DebugEngine(PATHFINDER, source_name="pathfinder_pingpong.cu",

@@ -88,6 +88,15 @@ class TestCompareGolden:
         assert out["similarity"] < DEFAULT_MATCH_THRESHOLD
 
 
+    def test_missing_signature_is_a_one_line_error(self, tmp_path, capsys):
+        rc = main(["compare", str(tmp_path / "a.json"),
+                   str(tmp_path / "b.json")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("repro-sig compare: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+
 class TestMatchCli:
     def test_add_then_match(self, runs, tmp_path, capsys):
         a, b, other = runs

@@ -247,6 +247,17 @@ class TestCli:
         out = capsys.readouterr().out
         assert "merged 2 shard(s)" in out
 
+    def test_merge_missing_directory_is_a_one_line_error(self, tmp_path,
+                                                         capsys):
+        from repro.stream.cli import main
+
+        rc = main(["merge", str(tmp_path / "nope"),
+                   "--out", str(tmp_path / "m")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("repro-agg merge: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_merge_strict_fails_on_truncation(self, tmp_path):
         from repro.stream.cli import main
 

@@ -62,6 +62,16 @@ class TestMain:
                    "--out", str(tmp_path)])
         assert rc == 2
 
+    def test_out_on_a_regular_file_is_a_one_line_error(self, tmp_path,
+                                                      capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        rc = main(["--workload", "mc-lulesh", "--out", str(taken)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("repro-trace: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_list_flag(self, capsys):
         assert main(["--list"]) == 0
         out = capsys.readouterr().out

@@ -145,5 +145,5 @@ def _load_records(run_dir: Path) -> list[dict[str, Any]]:
 
 
 def _write_json(path: Path, payload: dict[str, Any]) -> None:
-    import json
-    path.write_text(json.dumps(payload, indent=2, sort_keys=False) + "\n")
+    from ..jsonfmt import dumps
+    path.write_text(dumps(payload, indent=2) + "\n")

@@ -19,6 +19,7 @@ import json
 import sys
 from pathlib import Path
 
+from ..jsonfmt import dumps
 from .capture import IncompatibleCaptureError, load_report, run_with_causes
 from .diff import diff_reports
 from .render import render_diff, render_report
@@ -76,7 +77,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     if args.out is not None:
         out = Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(diff, indent=2) + "\n")
+        out.write_text(dumps(diff, indent=2) + "\n")
     if args.fail_on_regression and diff["summary"]["verdict"] == "regression":
         return 1
     return 0

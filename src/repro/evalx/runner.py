@@ -45,9 +45,8 @@ def _run_why(name: str, why_dir: Path) -> None:
     result_b = run_with_causes(cand, "pcie", exp_dir / cand)
     diff = diff_reports(result_a["report"], result_b["report"],
                         label_a=base, label_b=cand)
-    import json
-    (exp_dir / "why_diff.json").write_text(
-        json.dumps(diff, indent=2, sort_keys=False) + "\n")
+    from ..jsonfmt import dumps
+    (exp_dir / "why_diff.json").write_text(dumps(diff, indent=2) + "\n")
     print(f"why: {name} ({base} vs {cand}) -> {exp_dir / 'why_diff.json'}")
     print(render_diff(diff, limit=5), end="")
 

@@ -141,13 +141,11 @@ def run_report(workload: str, platform: str, out_dir: str | Path, *,
 
     causes = None
     if why:
-        import json
-
         from ..causes.capture import build_report as build_causes
+        from ..jsonfmt import dumps
 
         causes = build_causes(out)
-        (out / "causes.json").write_text(
-            json.dumps(causes, indent=2, sort_keys=False) + "\n")
+        (out / "causes.json").write_text(dumps(causes, indent=2) + "\n")
         paths["causes"] = out / "causes.json"
 
     stats = {k: v for k, v in run.stats.items()

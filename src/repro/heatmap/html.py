@@ -147,12 +147,14 @@ def _fmt(v: float) -> str:
     return f"{v:.4g}"
 
 
-def _level(value: int, peak: int) -> int:
-    """Ramp level 1..len(_SEQ_RAMP) for a non-zero count (sqrt scale)."""
-    if peak <= 0 or value <= 0:
-        return 0
-    lev = int(np.ceil(np.sqrt(value / peak) * (len(_SEQ_RAMP) - 1)))
-    return max(1, min(lev + 1, len(_SEQ_RAMP)))
+def _levels(row: np.ndarray, peak: int) -> list[int]:
+    """Ramp level 1..len(_SEQ_RAMP) of every count in ``row`` (sqrt
+    scale), 0 where the count is 0."""
+    if peak <= 0:
+        return [0] * len(row)
+    lev = np.ceil(np.sqrt(row / peak) * (len(_SEQ_RAMP) - 1)).astype(np.int64)
+    lev = np.clip(lev + 1, 1, len(_SEQ_RAMP))
+    return np.where(row > 0, lev, 0).tolist()
 
 
 def _metric_total(metrics: Mapping[str, Mapping[str, float]] | None,
@@ -183,6 +185,7 @@ def _alloc_svg(heat: AllocationHeat, findings_index: dict) -> str:
     epochs = heat.epochs
     mat = heat.matrix()
     peak = int(mat.max()) if mat.size else 0
+    starts, ends = heat.bucket_word_ranges()
     step_x, step_y = _CELL_W + _GAP, _CELL_H + _GAP
     width = _GUTTER + heat.nbuckets * step_x
     height = len(epochs) * step_y + 18
@@ -194,21 +197,19 @@ def _alloc_svg(heat: AllocationHeat, findings_index: dict) -> str:
         parts.append(f'<text x="{_GUTTER - 8}" y="{y + _CELL_H - 3}" '
                      f'text-anchor="end">e{e.epoch}</text>')
         hot = e.heat
-        for b in range(heat.nbuckets):
-            if hot[b] <= 0:
-                continue
-            lev = _level(int(hot[b]), peak)
+        levels = _levels(hot, peak)
+        tops = e.bucket_top_sites()
+        rows = e.counts.T.tolist()
+        for b in np.flatnonzero(hot > 0).tolist():
             x = _GUTTER + b * step_x
-            lo, hi = heat.bucket_word_range(b)
-            tip = (f"epoch {e.epoch}, words [{lo},{hi}): "
-                   f"cpu r/w {int(e.counts[0, b])}/{int(e.counts[1, b])}, "
-                   f"gpu r/w {int(e.counts[2, b])}/{int(e.counts[3, b])}")
-            top = e.top_sites(1, b, b + 1)
-            if top:
-                tip += f" — top site {top[0][0].label}"
+            cr, cw, gr, gw = rows[b]
+            tip = (f"epoch {e.epoch}, words [{starts[b]},{ends[b]}): "
+                   f"cpu r/w {cr}/{cw}, gpu r/w {gr}/{gw}")
+            if tops[b] is not None:
+                tip += f" — top site {tops[b].label}"
             parts.append(
                 f'<rect x="{x}" y="{y}" width="{_CELL_W}" '
-                f'height="{_CELL_H}" rx="2" fill="var(--h{lev})">'
+                f'height="{_CELL_H}" rx="2" fill="var(--h{levels[b]})">'
                 f'<title>{_esc(tip)}</title></rect>')
         # Anti-pattern overlays: status-colored outline over the epoch
         # row region the finding fired on (icon + label ride the list

@@ -19,6 +19,7 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any
 
 import numpy as np
 
@@ -72,6 +73,11 @@ class EpochHeat:
     epoch: int
     counts: np.ndarray  #: ``(4, nbuckets)`` int64, rows per :data:`CHANNELS`
     sites: dict[SourceSite, np.ndarray] = field(default_factory=dict)
+    #: Values a live observer derived from this snapshot for a later
+    #: consumer to take over instead of recomputing (the phase tracker's
+    #: access-pattern vector, which the run's signature takes).
+    derived: dict[str, Any] = field(default_factory=dict, compare=False,
+                                    repr=False)
 
     @property
     def heat(self) -> np.ndarray:
@@ -94,6 +100,23 @@ class EpochHeat:
         totals = [(s, n) for s, n in totals if n > 0]
         totals.sort(key=lambda sn: (-sn[1], sn[0]))
         return totals[:k]
+
+    def bucket_top_sites(self) -> list[SourceSite | None]:
+        """Every bucket's top site, as ``top_sites(1, b, b + 1)`` names it.
+
+        One ``argmax`` over the stacked site vectors in sorted site order,
+        so ties go to the smallest :class:`SourceSite`; ``None`` where no
+        site recorded heat in the bucket.
+        """
+        nbuckets = self.counts.shape[1]
+        if not self.sites:
+            return [None] * nbuckets
+        order = sorted(self.sites)
+        stacked = np.stack([self.sites[s] for s in order])
+        best = stacked.argmax(axis=0)
+        peak = stacked[best, np.arange(nbuckets)]
+        return [order[i] if n > 0 else None
+                for i, n in zip(best.tolist(), peak.tolist())]
 
 
 class AllocationHeat:
@@ -145,9 +168,9 @@ class AllocationHeat:
     # ------------------------------------------------------------------ #
     # geometry
 
-    def bucket_word_range(self, bucket: int) -> tuple[int, int]:
-        """Word range ``[lo, hi)`` a bucket covers."""
-        return int(self._starts[bucket]), int(self._ends[bucket])
+    def bucket_word_ranges(self) -> tuple[list[int], list[int]]:
+        """Every bucket's word range ``[lo, hi)``, as ``(starts, ends)``."""
+        return self._starts.tolist(), self._ends.tolist()
 
     # ------------------------------------------------------------------ #
     # recording
@@ -368,22 +391,16 @@ class HeatStore:
         out.write("allocation,epoch,bucket,word_lo,word_hi,"
                   + ",".join(CHANNELS) + ",top_site\n")
         for heat in self.allocations():
+            starts, ends = heat.bucket_word_ranges()
             for e in heat.epochs:
-                tops = {}
-                for site, vec in e.sites.items():
-                    for b in np.flatnonzero(vec):
-                        cur = tops.get(int(b))
-                        if cur is None or vec[b] > cur[1] or \
-                                (vec[b] == cur[1] and site < cur[0]):
-                            tops[int(b)] = (site, int(vec[b]))
-                for b in range(heat.nbuckets):
-                    if not e.counts[:, b].any():
-                        continue
-                    lo, hi = heat.bucket_word_range(b)
-                    vals = ",".join(str(int(v)) for v in e.counts[:, b])
-                    site = tops.get(b)
-                    out.write(f"{heat.label},{e.epoch},{b},{lo},{hi},{vals},"
-                              f"{site[0].label if site else ''}\n")
+                head = f"{heat.label},{e.epoch},"
+                tops = e.bucket_top_sites()
+                rows = e.counts.T.tolist()
+                for b in np.flatnonzero(e.counts.any(axis=0)).tolist():
+                    site = tops[b]
+                    out.write(f"{head}{b},{starts[b]},{ends[b]},"
+                              f"{','.join(map(str, rows[b]))},"
+                              f"{site.label if site else ''}\n")
         return out.getvalue()
 
     def to_npz(self, path: str | Path) -> Path:

@@ -20,6 +20,7 @@ import os
 from pathlib import Path
 from typing import Any
 
+from ..jsonfmt import dumps
 from .vector import FEATURE_VERSION, RunSignature, run_similarity
 
 __all__ = ["INDEX_VERSION", "DEFAULT_MATCH_THRESHOLD", "SignatureIndex"]
@@ -78,7 +79,7 @@ class SignatureIndex:
             "entries": {k: self._entries[k] for k in sorted(self._entries)},
         }
         _atomic_write(self.root / "index.json",
-                      json.dumps(doc, indent=1, sort_keys=True) + "\n")
+                      dumps(doc, indent=1, sort_keys=True) + "\n")
 
     def add(self, name: str, sig: RunSignature) -> dict[str, Any]:
         """Store ``sig`` under ``name`` (replacing any previous entry)."""

@@ -36,7 +36,8 @@ from typing import Any, Iterable, Mapping
 
 import numpy as np
 
-from ..heatmap.store import CHANNELS, AllocationHeat, HeatStore
+from ..heatmap.store import CHANNELS, AllocationHeat, EpochHeat, HeatStore
+from ..jsonfmt import dumps
 
 __all__ = [
     "FEATURE_VERSION",
@@ -44,6 +45,7 @@ __all__ = [
     "N_FEATURES",
     "FEATURE_NAMES",
     "epoch_vector",
+    "snapshot_vector",
     "combine_vectors",
     "cosine_similarity",
     "AllocationSignature",
@@ -130,6 +132,13 @@ def epoch_vector(counts: np.ndarray) -> np.ndarray:
     return out
 
 
+def snapshot_vector(snap: EpochHeat) -> np.ndarray:
+    """``epoch_vector(snap.counts)``, left on the snapshot for the run's
+    signature (:func:`signature_from_store`) to take over."""
+    vec = snap.derived["vector"] = epoch_vector(snap.counts)
+    return vec
+
+
 def combine_vectors(vectors: Iterable[tuple[np.ndarray, int]]) -> \
         tuple[np.ndarray, int]:
     """Weight-average ``(vector, total)`` pairs into one run-level vector.
@@ -158,7 +167,7 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _round_vec(vec: np.ndarray) -> list[float]:
-    return [round(float(v), _ROUND) for v in vec]
+    return [round(v, _ROUND) for v in vec.tolist()]
 
 
 @dataclass
@@ -256,7 +265,7 @@ class RunSignature:
 
     def to_json(self) -> str:
         """Canonical byte-deterministic JSON form."""
-        return json.dumps(self.to_dict(), indent=1, sort_keys=True) + "\n"
+        return dumps(self.to_dict(), indent=1, sort_keys=True) + "\n"
 
     def save(self, path: str | Path) -> Path:
         path = Path(path)
@@ -321,7 +330,11 @@ def signature_from_store(store: HeatStore, *, workload: str = "",
         epochs, totals, vectors = [], [], []
         site_totals: dict[str, int] = {}
         for snap in heat.epochs:
-            vec = epoch_vector(snap.counts)
+            # Computed once per run: a live tracker left it on the snapshot
+            # (taken, so it does not outlive the signature).
+            vec = snap.derived.pop("vector", None)
+            if vec is None:
+                vec = epoch_vector(snap.counts)
             epochs.append(int(snap.epoch))
             totals.append(int(snap.total))
             vectors.append(vec)
@@ -358,7 +371,6 @@ def signature_from_npz(path: str | Path, *, workload: str = "",
     NPZ, so ``top_sites`` comes back empty -- by design that never
     affects vectors or similarity.
     """
-    from ..heatmap.store import EpochHeat
     from .phases import detect_phases  # noqa: F401  (parity of defaults)
 
     with np.load(path, allow_pickle=False) as npz:

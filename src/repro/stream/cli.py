@@ -49,7 +49,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_split(args: argparse.Namespace) -> int:
-    shard_dirs = split_stream(args.src, args.out, args.k)
+    try:
+        shard_dirs = split_stream(args.src, args.out, args.k)
+    except (OSError, ValueError, TruncatedSegmentError,
+            IncompatibleStreamError) as exc:
+        print(f"repro-agg split: {exc}", file=sys.stderr)
+        return 2
     for path in shard_dirs:
         print(f"  {path}")
     return 0

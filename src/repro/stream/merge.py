@@ -40,6 +40,7 @@ import numpy as np
 
 from .. import __version__
 from ..heatmap.store import AllocationHeat, HeatStore
+from ..jsonfmt import dumps
 from ..telemetry.events_jsonl import SCHEMA_VERSION
 
 from .segments import STREAM_VERSION, iter_shard_records, load_manifest
@@ -211,8 +212,7 @@ class MergedRun:
         if why:
             causes = self.causes_report()
             causes_path = out / "causes.json"
-            causes_path.write_text(
-                json.dumps(causes, indent=2, sort_keys=False) + "\n")
+            causes_path.write_text(dumps(causes, indent=2) + "\n")
             paths["causes"] = causes_path
 
         if report:

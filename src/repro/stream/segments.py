@@ -4,7 +4,7 @@ A **stream directory** is the durable form of one shard of a running
 simulation::
 
     <dir>/
-      manifest.json           # rewritten atomically after every segment
+      manifest.json           # live writers rewrite it after every segment
       segments/seg-00000.jsonl
       segments/seg-00001.jsonl
       ...
@@ -44,6 +44,8 @@ import zlib
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping
 
+from ..jsonfmt import dumps
+
 __all__ = [
     "STREAM_VERSION",
     "SEGMENT_DIR",
@@ -52,6 +54,7 @@ __all__ = [
     "IncompatibleStreamError",
     "SegmentWriter",
     "read_segment",
+    "read_frame",
     "iter_shard_records",
     "load_manifest",
     "write_manifest",
@@ -85,7 +88,7 @@ def write_manifest(dir_path: str | Path, manifest: Mapping[str, Any]) -> Path:
     dir_path.mkdir(parents=True, exist_ok=True)
     target = dir_path / MANIFEST_NAME
     tmp = dir_path / (MANIFEST_NAME + ".tmp")
-    tmp.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n",
+    tmp.write_text(dumps(manifest, indent=1, sort_keys=True) + "\n",
                    encoding="utf-8")
     os.replace(tmp, target)
     return target
@@ -121,7 +124,13 @@ def segment_files(dir_path: str | Path) -> list[Path]:
 
 
 class SegmentWriter:
-    """Appends framed segments to a stream directory, manifest in step.
+    """Appends framed segments to a stream directory.
+
+    The manifest is published by :meth:`publish`, :meth:`write_segment`
+    (the live contract: one manifest per segment, which ``repro-top``
+    tails), :meth:`publish_rollup` and :meth:`finalize`.
+    :meth:`append_segment` writes a segment without publishing, for
+    writers that publish once, when the stream is complete.
 
     :param out_dir: stream directory (created if missing).
     :param shard: shard identity recorded in headers and the manifest.
@@ -142,25 +151,42 @@ class SegmentWriter:
         self.rollup: dict[str, Any] = {}
         self.complete = False
         (self.dir / SEGMENT_DIR).mkdir(parents=True, exist_ok=True)
-        self._sync_manifest()
 
     # ------------------------------------------------------------------ #
     # writing
 
     def write_segment(self, records: list[Mapping[str, Any]], *,
                       rollup: Mapping[str, Any] | None = None) -> Path:
-        """Write one framed segment and fold it into the manifest.
+        """Write one framed segment and publish the manifest.
 
         :param records: payload records (each needs a ``type`` field).
         :param rollup: live run summary to publish in the manifest
             (counters, residency, epoch cursor) for tailing monitors.
         """
+        path = self.append_segment(records)
+        if rollup is not None:
+            self.rollup = dict(rollup)
+        self.publish()
+        return path
+
+    def append_segment(self, records: list[Mapping[str, Any]],
+                       lines: list[str] | None = None) -> Path:
+        """Write one framed segment and list it, without publishing.
+
+        :param lines: the records' encoded payload lines, when the caller
+            already has them (verified lines from :func:`read_frame`);
+            they are written verbatim.
+        """
+        if lines is None:
+            lines = [_dumps(rec) for rec in records]
+        elif len(lines) != len(records):
+            raise ValueError(f"{len(lines)} encoded lines for "
+                             f"{len(records)} records")
         index = len(self.segments)
         name = f"seg-{index:05d}.jsonl"
         path = self.dir / SEGMENT_DIR / name
         header = {"type": "segment_header", "segment": index,
                   "shard": self.shard, "stream_version": STREAM_VERSION}
-        lines = [_dumps(header)]
         epochs: list[int] = []
         n_events = n_heat = 0
         for rec in records:
@@ -172,8 +198,7 @@ class SegmentWriter:
                 epochs.append(int(rec["epoch"]))
             elif rtype == "driver_event":
                 n_events += 1
-            lines.append(_dumps(rec))
-        payload = "".join(line + "\n" for line in lines)
+        payload = "".join(line + "\n" for line in [_dumps(header), *lines])
         trailer = {"type": "segment_trailer", "records": len(records),
                    "crc32": zlib.crc32(payload.encode("utf-8"))}
         path.write_text(payload + _dumps(trailer) + "\n", encoding="utf-8")
@@ -183,24 +208,22 @@ class SegmentWriter:
             entry["epoch_lo"] = min(epochs)
             entry["epoch_hi"] = max(epochs)
         self.segments.append(entry)
-        if rollup is not None:
-            self.rollup = dict(rollup)
-        self._sync_manifest()
         return path
 
     def publish_rollup(self, rollup: Mapping[str, Any]) -> Path:
         """Update the manifest rollup without writing a segment."""
         self.rollup = dict(rollup)
-        return self._sync_manifest()
+        return self.publish()
 
     def finalize(self, rollup: Mapping[str, Any] | None = None) -> Path:
         """Mark the stream complete (no more segments will follow)."""
         if rollup is not None:
             self.rollup = dict(rollup)
         self.complete = True
-        return self._sync_manifest()
+        return self.publish()
 
-    def _sync_manifest(self) -> Path:
+    def publish(self) -> Path:
+        """Atomically (re)write the manifest as the stream stands now."""
         return write_manifest(self.dir, self.manifest())
 
     def manifest(self) -> dict[str, Any]:
@@ -229,6 +252,11 @@ def read_segment(path: str | Path) -> list[dict[str, Any]]:
     the CRC does not match, or the record count disagrees -- the three
     signatures of a writer that died mid-segment.
     """
+    return read_frame(path)[0]
+
+
+def read_frame(path: str | Path) -> tuple[list[dict[str, Any]], list[str]]:
+    """:func:`read_segment`'s records plus their verified payload lines."""
     path = Path(path)
     text = path.read_text(encoding="utf-8")
     if not text.endswith("\n"):
@@ -248,8 +276,9 @@ def read_segment(path: str | Path) -> list[dict[str, Any]]:
         raise TruncatedSegmentError(
             f"{path}: checksum mismatch (crc32 {crc} != recorded "
             f"{trailer.get('crc32')})")
+    body = lines[1:-1]
     try:
-        records = [json.loads(line) for line in lines[1:-1]]
+        records = [json.loads(line) for line in body]
     except ValueError as exc:
         raise TruncatedSegmentError(f"{path}: corrupt payload record: {exc}")
     header = json.loads(lines[0]) if lines else {}
@@ -259,7 +288,7 @@ def read_segment(path: str | Path) -> list[dict[str, Any]]:
         raise TruncatedSegmentError(
             f"{path}: {len(records)} payload records != trailer count "
             f"{trailer.get('records')}")
-    return records
+    return records, body
 
 
 def iter_shard_records(

@@ -20,7 +20,7 @@ import json
 from pathlib import Path
 from typing import Any, Mapping
 
-from .segments import SegmentWriter, load_manifest, read_segment, segment_files
+from .segments import SegmentWriter, load_manifest, read_frame, segment_files
 from .spill import SpillingHeatStore, StreamSpiller
 
 __all__ = ["run_streaming", "split_stream"]
@@ -116,6 +116,10 @@ def split_stream(src_dir: str | Path, out_base: str | Path,
     self-contained.  The source's drop count is carried by shard 0 only
     (it is a property of the run, not of a slice).
 
+    Payload lines are copied verbatim once :func:`read_frame` has
+    verified them, and each shard publishes exactly one manifest, already
+    complete, after its last segment (nothing tails a split).
+
     Returns the shard directory paths, in shard order.
     """
     if k < 1:
@@ -123,54 +127,44 @@ def split_stream(src_dir: str | Path, out_base: str | Path,
     src = Path(src_dir)
     manifest = load_manifest(src)
     rollup: Mapping[str, Any] = manifest.get("rollup", {})
-    paths = segment_files(src)
 
     headers: list[dict[str, Any]] = []
+    header_lines: list[str] = []
     seen: set[str] = set()
-    per_segment: list[list[dict[str, Any]]] = []
-    for path in paths:
-        records = read_segment(path)  # strict: the source must be complete
-        per_segment.append(records)
-        for rec in records:
+    frames: list[tuple[list[dict[str, Any]], list[str]]] = []
+    for path in segment_files(src):
+        frame = read_frame(path)  # strict: the source must be complete
+        frames.append(frame)
+        for rec, line in zip(*frame):
             if rec.get("type") in _HEADER_TYPES:
                 key = json.dumps(rec, sort_keys=True)
                 if key not in seen:
                     seen.add(key)
                     headers.append(rec)
+                    header_lines.append(line)
 
     out_base = Path(out_base)
-    shard_dirs: list[Path] = []
-    writers: list[SegmentWriter] = []
-    counts = [{"events": 0, "heat": 0, "segments": 0} for _ in range(k)]
-    for j in range(k):
-        shard_dir = out_base / f"shard-{j}"
-        shard_dirs.append(shard_dir)
-        writers.append(SegmentWriter(
-            shard_dir, shard=f"{manifest.get('shard', 'shard')}.{j}",
-            workload=manifest.get("workload", ""),
-            platform=manifest.get("platform", ""),
-            config=dict(manifest.get("config", {}),
-                        split_from=str(src), split_k=k)))
-    first_written = [False] * k
-    for i, records in enumerate(per_segment):
-        j = i % k
-        if not first_written[j]:
-            first_written[j] = True
-            extra = [h for h in headers if h not in records]
-            records = extra + records
-        writers[j].write_segment(records)
-        counts[j]["segments"] += 1
-        counts[j]["events"] += sum(
-            1 for r in records if r.get("type") == "driver_event")
-        counts[j]["heat"] += sum(
-            1 for r in records if r.get("type") == "heat_epoch")
+    writers = [SegmentWriter(
+        out_base / f"shard-{j}",
+        shard=f"{manifest.get('shard', 'shard')}.{j}",
+        workload=manifest.get("workload", ""),
+        platform=manifest.get("platform", ""),
+        config=dict(manifest.get("config", {}), split_from=str(src),
+                    split_k=k)) for j in range(k)]
+    for i, (records, lines) in enumerate(frames):
+        if i < k:  # a shard's first segment carries the headers it lacks
+            extra = [n for n, h in enumerate(headers) if h not in records]
+            records = [headers[n] for n in extra] + records
+            lines = [header_lines[n] for n in extra] + lines
+        writers[i % k].append_segment(records, lines)
+    for writer in writers[len(frames):]:
+        # More shards than segments: the shard still gets the headers.
+        writer.append_segment(headers, header_lines)
     for j, writer in enumerate(writers):
-        if not first_written[j]:
-            # More shards than segments: the shard still gets the headers.
-            writer.write_segment(list(headers))
         shard_rollup: dict[str, Any] = {
-            "events_spilled": counts[j]["events"],
-            "heat_epochs_spilled": counts[j]["heat"],
+            "events_spilled": sum(e["events"] for e in writer.segments),
+            "heat_epochs_spilled": sum(e["heat_epochs"]
+                                       for e in writer.segments),
             "segments": len(writer.segments),
             "events_dropped": int(rollup.get("events_dropped", 0))
             if j == 0 else 0,
@@ -187,4 +181,4 @@ def split_stream(src_dir: str | Path, out_base: str | Path,
         if "sampling" in rollup:
             shard_rollup["sampling"] = dict(rollup["sampling"])
         writer.finalize(shard_rollup)
-    return shard_dirs
+    return [writer.dir for writer in writers]

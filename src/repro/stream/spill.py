@@ -126,6 +126,7 @@ class StreamSpiller(ObserverBase):
                  watermark_events: int = 16384) -> None:
         self.writer = SegmentWriter(out_dir, shard=shard, workload=workload,
                                     platform=platform, config=config)
+        self.writer.publish()  # tailable before the first segment lands
         self.watermark_events = max(1, watermark_events)
         self.heat: SpillingHeatStore | None = None
         self.segments_written = 0
@@ -201,14 +202,17 @@ class StreamSpiller(ObserverBase):
                 info = _sampling_info(session)
                 if info is not None:
                     self._append(info)
-            self._flush_segment()
+            if self._pending:
+                # Published below, with the completed manifest.
+                self.writer.append_segment(self._pending)
+                self.segments_written += 1
+                self._pending = []
             log.spill = self._prev_spill
             session.runtime.unsubscribe(self)
             tracer = session.tracer
             if tracer is not None and self._epoch_hook in tracer.epoch_hooks:
                 tracer.epoch_hooks.remove(self._epoch_hook)
-        manifest_path_rollup = self._rollup()
-        self.writer.finalize(manifest_path_rollup)
+        self.writer.finalize(self._rollup())
         self._closed = True
         self._session = None
         return self.writer.manifest()

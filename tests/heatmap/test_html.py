@@ -2,10 +2,11 @@
 
 import re
 
+import numpy as np
 import pytest
 
 from repro.analysis.patterns import AntiPattern, Finding
-from repro.heatmap.html import build_report
+from repro.heatmap.html import _SEQ_RAMP, _levels, build_report
 from repro.heatmap.store import HeatStore, SourceSite
 from repro.memsim import AddressSpace, MemoryKind, Processor
 
@@ -123,3 +124,22 @@ class TestBanners:
         assert "sampled tracing: 1-in-8 words" in html
         assert "effective rate 0.125" in html
         assert "estimated fidelity 0.85" in html
+
+
+class TestRampLevels:
+    @staticmethod
+    def _level(value, peak):
+        """One cell's level, computed on Python scalars."""
+        if peak <= 0 or value <= 0:
+            return 0
+        lev = int(np.ceil(np.sqrt(value / peak) * (len(_SEQ_RAMP) - 1)))
+        return max(1, min(lev + 1, len(_SEQ_RAMP)))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_row_levels_match_scalar_levels(self, seed):
+        rng = np.random.default_rng(seed)
+        row = rng.integers(0, 10 ** rng.integers(1, 9), size=257)
+        row[::7] = 0
+        for peak in (int(row.max()), int(row.max()) * 3 + 1, 1, 0):
+            assert _levels(row, peak) == [self._level(int(v), peak)
+                                          for v in row]

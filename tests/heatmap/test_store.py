@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.heatmap.store import (
     CHANNELS,
     OTHER_SITE,
     AllocationHeat,
+    EpochHeat,
     HeatStore,
     SourceSite,
 )
@@ -27,7 +30,7 @@ class TestBucketGeometry:
         heat = AllocationHeat(_alloc(space, 1000), nbuckets=7)
         # 1000 bytes -> 250 words split into 7 fair-division buckets.
         assert heat.nwords == 250
-        spans = [heat.bucket_word_range(b) for b in range(heat.nbuckets)]
+        spans = list(zip(*heat.bucket_word_ranges()))
         assert spans[0][0] == 0 and spans[-1][1] == 250
         for (alo, ahi), (blo, bhi) in zip(spans, spans[1:]):
             assert ahi == blo and ahi > alo
@@ -163,3 +166,42 @@ class TestExports:
         assert data["a0_counts"].shape == (1, 4, 4)
         assert data["a0_counts"].sum() == 32
         assert list(data["epochs_closed"]) == [0]
+
+
+_SITES = [SourceSite("a.cu", 3), SourceSite("a.cu", 3, "k"), SourceSite("a.cu", 12),
+          SourceSite("b.cu", 1), OTHER_SITE]
+
+
+@st.composite
+def _epochs(draw):
+    """An epoch whose site matrix is small non-negative ints: many ties
+    between sites and many all-zero buckets."""
+    nbuckets = draw(st.integers(1, 12))
+    sites = draw(st.lists(st.sampled_from(_SITES), unique=True, max_size=5))
+    vectors = {site: np.array(draw(st.lists(st.integers(0, 2),
+                                            min_size=nbuckets,
+                                            max_size=nbuckets)), np.int64)
+               for site in sites}  # insertion order is deliberately unsorted
+    counts = np.zeros((len(CHANNELS), nbuckets), np.int64)
+    for vec in vectors.values():
+        counts[draw(st.integers(0, len(CHANNELS) - 1))] += vec
+    return EpochHeat(epoch=0, counts=counts, sites=vectors)
+
+
+class TestBucketTopSites:
+    @settings(max_examples=200, deadline=None)
+    @given(snap=_epochs())
+    def test_matches_per_bucket_top_sites(self, snap):
+        nbuckets = snap.counts.shape[1]
+        expected = []
+        for b in range(nbuckets):
+            top = snap.top_sites(1, b, b + 1)
+            expected.append(top[0][0] if top else None)
+        assert snap.bucket_top_sites() == expected
+
+    def test_ties_go_to_the_smallest_site_and_zero_buckets_to_none(self):
+        big, small = SourceSite("z.cu", 9), SourceSite("a.cu", 1)
+        snap = EpochHeat(epoch=0, counts=np.ones((4, 3), np.int64),
+                         sites={big: np.array([2, 0, 1]),
+                                small: np.array([2, 0, 3])})
+        assert snap.bucket_top_sites() == [small, None, small]

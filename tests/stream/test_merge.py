@@ -258,6 +258,50 @@ class TestCli:
         assert err.startswith("repro-agg merge: ")
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    def _split_error(self, capsys, *argv):
+        from repro.stream.cli import main
+
+        rc = main(["split", *argv])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("repro-agg split: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        return err
+
+    def test_split_missing_directory_is_a_one_line_error(self, tmp_path,
+                                                         capsys):
+        self._split_error(capsys, str(tmp_path / "nope"),
+                          "--out", str(tmp_path / "shards"))
+        assert not (tmp_path / "shards").exists()
+
+    def test_split_non_stream_directory_is_a_one_line_error(self, tmp_path,
+                                                            capsys):
+        (tmp_path / "plain").mkdir()
+        err = self._split_error(capsys, str(tmp_path / "plain"),
+                                "--out", str(tmp_path / "shards"))
+        assert "not a stream directory" in err
+
+    def test_split_truncated_source_is_a_one_line_error(self, lulesh_stream,
+                                                        tmp_path, capsys):
+        import shutil
+
+        src, _ = lulesh_stream
+        broken = tmp_path / "broken"
+        shutil.copytree(src, broken)
+        victim = segment_files(broken)[1]
+        victim.write_bytes(victim.read_bytes()[:40])
+        err = self._split_error(capsys, str(broken),
+                                "--out", str(tmp_path / "shards"))
+        assert victim.name in err
+        assert not (tmp_path / "shards").exists()
+
+    def test_split_zero_shards_is_a_one_line_error(self, lulesh_stream,
+                                                   tmp_path, capsys):
+        src, _ = lulesh_stream
+        err = self._split_error(capsys, str(src), "--out",
+                                str(tmp_path / "shards"), "-k", "0")
+        assert "0 shards" in err
+
     def test_merge_strict_fails_on_truncation(self, tmp_path):
         from repro.stream.cli import main
 

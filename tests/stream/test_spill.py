@@ -189,6 +189,25 @@ class TestStreamSpiller:
         again = spiller.close()
         assert again["complete"] is True
 
+    def test_close_publishes_final_segment_with_complete_manifest(
+            self, tmp_path, monkeypatch):
+        from repro.stream import segments
+
+        session = _heat_session()
+        spiller = StreamSpiller(tmp_path, shard="t0")
+        assert load_manifest(tmp_path)["seq"] == 0  # tailable at once
+        spiller.attach(session, heat=SpillingHeatStore(nbuckets=8))
+        _touch(session, label="a")  # residual heat + retained events
+        published = []
+        write = segments.write_manifest
+        monkeypatch.setattr(segments, "write_manifest",
+                            lambda d, m: published.append(m) or write(d, m))
+        manifest = spiller.close()
+        assert len(published) == 1 and published[0] == manifest
+        assert manifest["complete"] is True
+        assert manifest["seq"] == 1 and manifest["rollup"]["segments"] == 1
+        assert list(iter_shard_records(tmp_path, strict=True))
+
     def test_attach_twice_rejected(self, tmp_path):
         session = _heat_session()
         spiller = StreamSpiller(tmp_path / "s")

@@ -11,7 +11,8 @@ from repro.telemetry.overhead import measure_overhead
 
 
 def test_heat_overhead_under_2x_of_traced(once, bench_record):
-    rows = once(measure_overhead, workloads=("sw",), repeats=2)
+    rows = once(measure_overhead, workloads=("sw",),
+                rungs=("plain", "traced", "heat"), repeats=2)
     for r in rows:
         print(f"\n{r['workload']}: traced {r['traced_x']:.1f}x, "
               f"heat {r['heat_x']:.1f}x "

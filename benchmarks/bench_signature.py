@@ -3,7 +3,8 @@
 Phase tracking folds one feature vector per epoch into an online
 centroid and the end-of-run signature is a single pass over frozen heat
 counts, so the whole ``repro-sig`` layer must stay cheap: the acceptance
-bar is < 1.3x over the traced+heat configuration it rides on.
+bar is < 1.3x over the ``heat_noattr`` rung (tracer plus a 64-bucket heat
+store without attribution) it rides on.
 
 The same bench scores signature-guided adaptive sampling
 (``Tracer(sample="auto")``) against a fixed stride that gets an
@@ -14,14 +15,15 @@ Ratios land in ``BENCH_signature.json`` and are guarded by the conftest
 perf-regression check (a >25% ratio regression fails the run).
 """
 
-from repro.signature.overhead import (
+from repro.telemetry.overhead import (
     measure_adaptive_fidelity,
-    measure_signature_overhead,
+    measure_overhead,
 )
 
 
 def test_signature_overhead_under_1_3x(once, bench_record):
-    rows = once(measure_signature_overhead, workloads=("sw",), repeats=3)
+    rows = once(measure_overhead, workloads=("sw",),
+                rungs=("heat_noattr", "signature"), repeats=3)
     for r in rows:
         print(f"\n{r['workload']}: signature+phases "
               f"{r['signature_x']:.2f}x over traced")

@@ -14,47 +14,29 @@ captures whose schema version this reader does not understand.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any
 
 from ..analysis import diagnose
-from ..memsim import Platform
+from ..jsonfmt import dumps
 from ..telemetry import context as telemetry_context
 from ..telemetry.events_jsonl import SCHEMA_VERSION, JsonlWriter, read_jsonl
 from ..telemetry.recorder import TelemetryRecorder
 from ..workloads.base import make_session
+from ..workloads.registry import resolve_platform, runner_for
 
-from .graph import CausalGraph
+from .graph import REPORT_VERSION, CausalGraph
 
-__all__ = ["causal_capture", "run_with_causes", "load_report",
-           "IncompatibleCaptureError"]
+__all__ = ["run_with_causes", "load_report", "IncompatibleCaptureError"]
 
 
 class IncompatibleCaptureError(RuntimeError):
     """A capture's schema version cannot be read by this build."""
 
 
-@contextmanager
-def causal_capture(platform: Platform, *, sites: bool = True) -> Iterator[Platform]:
-    """Enable causal provenance on ``platform`` for the block's duration.
-
-    :param sites: also walk the stack for triggering source sites (the
-        expensive-but-actionable half of the cause link).
-    """
-    um = platform.um
-    prev = (um.track_causes, um.blame_sites)
-    um.track_causes = True
-    um.blame_sites = sites
-    try:
-        yield platform
-    finally:
-        um.track_causes, um.blame_sites = prev
-
-
 def run_with_causes(workload: str, platform: str, out_dir: str | Path,
-                    *, materialize: bool = True, sites: bool = True,
-                    diagnose_run: bool = True) -> dict[str, Any]:
+                    *, materialize: bool = True,
+                    sites: bool = True) -> dict[str, Any]:
     """Run ``workload`` with causal tracking; write artifacts to ``out_dir``.
 
     Produces the full telemetry bundle (``events.jsonl`` with cause
@@ -62,10 +44,8 @@ def run_with_causes(workload: str, platform: str, out_dir: str | Path,
     ``causes.json``, the causal blame report.  Returns a dict with the
     artifact ``paths``, the ``report`` and the workload ``run``.
     """
-    from ..telemetry.cli import PLATFORM_ALIASES, WORKLOADS
-
-    preset = PLATFORM_ALIASES.get(platform, platform)
-    runner = WORKLOADS[workload]
+    preset = resolve_platform(platform)
+    runner = runner_for(workload)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -78,7 +58,7 @@ def run_with_causes(workload: str, platform: str, out_dir: str | Path,
         session = make_session(preset, trace=True, materialize=materialize)
         session.platform.um.blame_sites = sites
         run = runner(session)
-        if diagnose_run and session.tracer is not None:
+        if session.tracer is not None:
             recorder.record_diagnosis(
                 diagnose(session.tracer, include_unnamed=True))
         recorder.detach()
@@ -89,9 +69,8 @@ def run_with_causes(workload: str, platform: str, out_dir: str | Path,
     # Build the report from the stream just written: one code path no
     # matter whether the events come from a live log or a saved capture.
     report = build_report(out, workload=workload, platform=preset)
-    report_path = out / "causes.json"
-    _write_json(report_path, report)
-    paths["causes"] = report_path
+    paths["causes"] = out / "causes.json"
+    paths["causes"].write_text(dumps(report, indent=2) + "\n")
     return {"paths": paths, "report": report, "run": run}
 
 
@@ -114,17 +93,12 @@ def load_report(run_dir: str | Path) -> dict[str, Any]:
     if causes.exists():
         import json
         report = json.loads(causes.read_text())
-        if report.get("report_version") != _report_version():
+        if report.get("report_version") != REPORT_VERSION:
             raise IncompatibleCaptureError(
                 f"{causes}: report_version {report.get('report_version')!r} "
-                f"!= supported {_report_version()}")
+                f"!= supported {REPORT_VERSION}")
         return report
     return build_report(run_dir)
-
-
-def _report_version() -> int:
-    from .graph import REPORT_VERSION
-    return REPORT_VERSION
 
 
 def _load_records(run_dir: Path) -> list[dict[str, Any]]:
@@ -142,8 +116,3 @@ def _load_records(run_dir: Path) -> list[dict[str, Any]]:
             f"range [2, {SCHEMA_VERSION}] (v1 streams carry no event ids or "
             "cause links)")
     return records
-
-
-def _write_json(path: Path, payload: dict[str, Any]) -> None:
-    from ..jsonfmt import dumps
-    path.write_text(dumps(payload, indent=2) + "\n")

@@ -20,6 +20,9 @@ import sys
 from pathlib import Path
 
 from ..jsonfmt import dumps
+from ..workloads.registry import (PLATFORM_ALIASES, WORKLOADS,
+                                  UnknownNameError, resolve_platform,
+                                  runner_for)
 from .capture import IncompatibleCaptureError, load_report, run_with_causes
 from .diff import diff_reports
 from .render import render_diff, render_report
@@ -28,8 +31,6 @@ __all__ = ["main"]
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from ..telemetry.cli import PLATFORM_ALIASES, WORKLOADS
-
     if args.list:
         print("workloads: " + ", ".join(sorted(WORKLOADS)))
         print("platforms: " + ", ".join(
@@ -39,14 +40,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print("repro-why run: --out is required (unless --list)",
               file=sys.stderr)
         return 2
-    preset = PLATFORM_ALIASES.get(args.platform, args.platform)
-    if preset not in {"intel-pascal", "intel-volta", "power9-volta"}:
-        print(f"unknown platform {args.platform!r}; known: "
-              + ", ".join(sorted(PLATFORM_ALIASES)), file=sys.stderr)
-        return 2
-    if args.workload not in WORKLOADS:
-        print(f"unknown workload {args.workload!r}; known: "
-              + ", ".join(sorted(WORKLOADS)), file=sys.stderr)
+    try:
+        preset = resolve_platform(args.platform)
+        runner_for(args.workload)
+    except UnknownNameError as exc:
+        print(f"repro-why run: {exc}", file=sys.stderr)
         return 2
     result = run_with_causes(args.workload, preset, args.out,
                              materialize=not args.footprint,

@@ -20,30 +20,11 @@ from pathlib import Path
 
 from ..heatmap.ansi import supports_color
 from ..memsim import PLATFORMS
+from ..workloads.registry import UnknownNameError, resolve_platform
 from .engine import DebugEngine
 from .repl import DebugSession
 
 __all__ = ["main"]
-
-#: Accepted ``--platform`` spellings (mirrors the telemetry CLI).
-PLATFORM_ALIASES = {
-    "pcie": "intel-pascal",
-    "pcie-pascal": "intel-pascal",
-    "pcie-volta": "intel-volta",
-    "nvlink": "power9-volta",
-    **{name: name for name in PLATFORMS},
-}
-
-
-def _build_platform(name: str, gpu_mem: int):
-    resolved = PLATFORM_ALIASES.get(name)
-    if resolved is None:
-        known = ", ".join(sorted(PLATFORM_ALIASES))
-        raise SystemExit(f"unknown platform {name!r} (known: {known})")
-    factory = PLATFORMS[resolved]
-    if gpu_mem:
-        return factory(gpu_memory_bytes=gpu_mem)
-    return factory()
 
 
 def _load_script(path: str) -> list[str]:
@@ -101,7 +82,14 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.write(source)
         return 0
 
-    platform = _build_platform(args.platform, args.gpu_mem)
+    try:
+        preset = resolve_platform(args.platform)
+    except UnknownNameError as exc:
+        print(f"repro-debug: {exc}", file=sys.stderr)
+        return 2
+    factory = PLATFORMS[preset]
+    platform = (factory(gpu_memory_bytes=args.gpu_mem) if args.gpu_mem
+                else factory())
     engine = DebugEngine(source, source_name=source_name, platform=platform,
                          nbuckets=args.buckets)
     engine.entry = args.entry

@@ -20,7 +20,7 @@ __all__ = ["main", "rows_to_csv", "PLACEMENT_PAIRS"]
 
 #: Experiments comparing two placement variants of one workload:
 #: experiment id -> (baseline workload, optimized/advised workload), both
-#: names from :data:`repro.telemetry.cli.WORKLOADS`.  ``--why`` captures
+#: names from :data:`repro.workloads.registry.WORKLOADS`.  ``--why`` captures
 #: each variant with causal provenance and auto-diffs the pair.
 PLACEMENT_PAIRS: dict[str, tuple[str, str]] = {
     "fig9": ("sw", "sw-advised"),
@@ -125,6 +125,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"unknown experiment id(s): {', '.join(unknown)}; "
               f"known: {', '.join(EXPERIMENTS)}", file=sys.stderr)
         return 2
+    if args.report and args.telemetry_dir is None:
+        parser.exit(2, f"{parser.prog}: --report requires --telemetry-dir\n")
 
     from ..codegen import default_backend, set_default_backend
     prev_backend = default_backend()
@@ -144,9 +146,6 @@ def _run(args: argparse.Namespace, ids: list[str]) -> int:
         csv_dir.mkdir(parents=True, exist_ok=True)
 
     telemetry_dir = Path(args.telemetry_dir) if args.telemetry_dir else None
-    if args.report and telemetry_dir is None:
-        parser.error("--report requires --telemetry-dir")
-
     for name in ids:
         kwargs = {"quick": True} if (args.quick and name == "tab3") else {}
         recorder = None

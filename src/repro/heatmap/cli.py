@@ -9,10 +9,10 @@ access heat, and renders everything into a single self-contained
 ``--ansi`` additionally prints the terminal heatmap (honours ``NO_COLOR``;
 ``--epoch N`` scrubs to one epoch).
 
-Where ``repro-trace`` diagnoses once at the end, the report runners prefer
-workload variants that diagnose *every iteration* so each epoch freezes
-its own heat row -- that per-epoch sequence is the temporal axis of the
-heatmaps.
+Where ``repro-trace`` diagnoses once at the end, the report prefers the
+registry's per-epoch variants (:data:`REPORT_RUNNERS`), which diagnose
+*every iteration* so each epoch freezes its own heat row -- that
+per-epoch sequence is the temporal axis of the heatmaps.
 """
 
 from __future__ import annotations
@@ -20,60 +20,22 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Callable
 
 from ..analysis import diagnose
 from ..signature.tracker import PhaseTracker
 from ..telemetry import context
-from ..telemetry.cli import PLATFORM_ALIASES, WORKLOADS
 from ..telemetry.events_jsonl import JsonlWriter
 from ..telemetry.recorder import TelemetryRecorder
-from ..workloads.base import Session, WorkloadRun, make_session
+from ..workloads.base import make_session
+from ..workloads.registry import (PLATFORM_ALIASES, REPORT_RUNNERS,
+                                  WORKLOADS, UnknownNameError,
+                                  resolve_platform, runner_for)
 
 from .ansi import render_store, supports_color
 from .html import build_report
 from .store import HeatStore
 
 __all__ = ["main", "REPORT_RUNNERS", "run_report"]
-
-
-def _pathfinder(session: Session) -> WorkloadRun:
-    from ..workloads.rodinia import Pathfinder
-    return Pathfinder(session, cols=8192, rows=40, pyramid_height=8,
-                      diagnose_each_iteration=True).run()
-
-
-def _lulesh(session: Session) -> WorkloadRun:
-    from ..workloads.lulesh import Lulesh
-    return Lulesh(session, 8, diagnose_each_step=True).run(6)
-
-
-def _sw(session: Session) -> WorkloadRun:
-    from ..workloads.smithwaterman import SmithWaterman
-    return SmithWaterman(session, 192, diagnose_each_iteration=True).run()
-
-
-def _sw_rotated(session: Session) -> WorkloadRun:
-    from ..workloads.smithwaterman import RotatedSmithWaterman
-    return RotatedSmithWaterman(session, 192,
-                                diagnose_each_iteration=True).run()
-
-
-def _lud(session: Session) -> WorkloadRun:
-    from ..workloads.rodinia import Lud
-    return Lud(session, size=64, diagnose_each_iteration=True).run()
-
-
-#: Per-iteration-diagnosing runners (epoch-rich heat).  Workloads absent
-#: here fall back to the ``repro-trace`` runners, which diagnose once at
-#: the end -- their heatmap collapses to a single epoch row.
-REPORT_RUNNERS: dict[str, Callable[[Session], WorkloadRun]] = {
-    "pathfinder": _pathfinder,
-    "lulesh": _lulesh,
-    "sw": _sw,
-    "sw-rotated": _sw_rotated,
-    "lud": _lud,
-}
 
 
 def run_report(workload: str, platform: str, out_dir: str | Path, *,
@@ -99,8 +61,8 @@ def run_report(workload: str, platform: str, out_dir: str | Path, *,
     banner (results are estimates).  If any driver events fell out of
     retention un-spilled, the report leads with a data-loss warning.
     """
-    preset = PLATFORM_ALIASES.get(platform, platform)
-    runner = REPORT_RUNNERS.get(workload, WORKLOADS[workload])
+    preset = resolve_platform(platform)
+    runner = runner_for(workload, per_epoch=True)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -189,8 +151,8 @@ def main(argv: list[str] | None = None) -> int:
         description="Replay a workload with temporal heat profiling and "
                     "render a self-contained HTML run report.")
     parser.add_argument("--workload", default="pathfinder",
-                        choices=sorted(WORKLOADS),
-                        help="workload to replay (default: pathfinder)")
+                        help="workload to replay (default: pathfinder; "
+                             "see --list)")
     parser.add_argument("--platform", default="pcie",
                         help="platform preset or alias: "
                              + ", ".join(sorted(PLATFORM_ALIASES)))
@@ -231,10 +193,11 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     if args.out is None:
         parser.error("--out is required (unless --list)")
-    preset = PLATFORM_ALIASES.get(args.platform, args.platform)
-    if preset not in {"intel-pascal", "intel-volta", "power9-volta"}:
-        print(f"unknown platform {args.platform!r}; known: "
-              + ", ".join(sorted(PLATFORM_ALIASES)), file=sys.stderr)
+    try:
+        preset = resolve_platform(args.platform)
+        runner_for(args.workload)
+    except UnknownNameError as exc:
+        print(f"repro-report: {exc}", file=sys.stderr)
         return 2
 
     paths = run_report(args.workload, preset, args.out,

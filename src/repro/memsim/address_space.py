@@ -210,7 +210,3 @@ class AddressSpace:
             self._hit = alloc
             return alloc
         return None
-
-    def live_allocations(self) -> list[Allocation]:
-        """All live allocations in address order."""
-        return list(self._allocs)

@@ -59,11 +59,6 @@ class Platform:
         """Create an asynchronous stream bound to this platform's clock."""
         return Stream(self.clock, name=name)
 
-    def reset_time(self) -> None:
-        """Reset clock and event log (memory state is preserved)."""
-        self.clock.reset()
-        self.events.clear()
-
 
 def _cpu(name: str, element_time: float) -> DeviceSpec:
     return DeviceSpec(

@@ -69,11 +69,6 @@ class DiagnosticResult:
                 return r
         raise KeyError(name)
 
-    @property
-    def total_alternating(self) -> int:
-        """Sum of alternating-access words across allocations."""
-        return sum(r.alternating for r in self.reports)
-
 
 def _scale_counts(counts: AccessCounts, alternating: int,
                   sample: int) -> tuple[AccessCounts, int]:

@@ -35,14 +35,13 @@ def compute_signature(workload: str, platform: str, *, buckets: int = 64,
                       ) -> RunSignature:
     """Replay ``workload`` with heat recording and sign the run."""
     from ..analysis import diagnose
-    from ..heatmap.cli import REPORT_RUNNERS
     from ..heatmap.store import HeatStore
-    from ..telemetry.cli import PLATFORM_ALIASES, WORKLOADS
     from ..workloads.base import make_session
+    from ..workloads.registry import resolve_platform, runner_for
     from .vector import signature_from_store
 
-    preset = PLATFORM_ALIASES.get(platform, platform)
-    runner = REPORT_RUNNERS.get(workload, WORKLOADS[workload])
+    preset = resolve_platform(platform)
+    runner = runner_for(workload, per_epoch=True)
     session = make_session(preset, trace=True, materialize=True,
                            sample=sample)
     heat = HeatStore(nbuckets=buckets, attribute=False)
@@ -104,12 +103,18 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         if not args.workload:
             print("compute needs --workload or --npz", file=sys.stderr)
             return 2
+        from ..workloads.registry import UnknownNameError
+
         sample: int | str | None = args.sample
         if sample and sample != "auto":
             sample = int(sample)
-        sig = compute_signature(args.workload, args.platform or "pcie",
-                                buckets=args.buckets, sample=sample,
-                                phase_threshold=args.phase_threshold)
+        try:
+            sig = compute_signature(args.workload, args.platform or "pcie",
+                                    buckets=args.buckets, sample=sample,
+                                    phase_threshold=args.phase_threshold)
+        except UnknownNameError as exc:
+            print(f"repro-sig compute: {exc}", file=sys.stderr)
+            return 2
     out = Path(args.out)
     path = sig.save(out / "signature.json" if not out.suffix else out)
     if args.json:

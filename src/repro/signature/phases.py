@@ -93,11 +93,6 @@ class PhaseDetector:
         """Index of the phase the detector is currently inside."""
         return len(self.phases) if self._count else max(0, len(self.phases))
 
-    @property
-    def in_transition(self) -> bool:
-        """Whether the most recent :meth:`update` opened a new phase."""
-        return self._count == 1 and bool(self.phases)
-
     def update(self, epoch: int, vector: np.ndarray,
                total: int) -> tuple[float, bool]:
         """Consume one closed epoch; ``(distance, new_phase_started)``.

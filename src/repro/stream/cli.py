@@ -24,6 +24,8 @@ import argparse
 import sys
 from pathlib import Path
 
+from ..workloads.registry import (UnknownNameError, resolve_platform,
+                                  runner_for)
 from .merge import merge_shards
 from .segments import IncompatibleStreamError, TruncatedSegmentError
 from .shard import run_streaming, split_stream
@@ -32,6 +34,12 @@ __all__ = ["main"]
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    try:
+        resolve_platform(args.platform)
+        runner_for(args.workload)
+    except UnknownNameError as exc:
+        print(f"repro-agg run: {exc}", file=sys.stderr)
+        return 2
     result = run_streaming(
         args.workload, args.platform, args.out, shard=args.shard,
         buckets=args.buckets, materialize=not args.footprint,

@@ -64,12 +64,11 @@ def run_streaming(
     Returns ``{"manifest": final stream manifest, "run": WorkloadRun,
     "sim_time": float}``.
     """
-    from ..heatmap.cli import REPORT_RUNNERS
-    from ..telemetry.cli import PLATFORM_ALIASES, WORKLOADS
     from ..workloads.base import make_session
+    from ..workloads.registry import resolve_platform, runner_for
 
-    preset = PLATFORM_ALIASES.get(platform, platform)
-    runner = REPORT_RUNNERS.get(workload, WORKLOADS[workload])
+    preset = resolve_platform(platform)
+    runner = runner_for(workload, per_epoch=True)
 
     heat = SpillingHeatStore(nbuckets=buckets, attribute=attribute)
     spiller = StreamSpiller(

@@ -1,20 +1,12 @@
-"""Self-profiling harness: what does observing a run cost us?
+"""The overhead ladder: what does observing a run cost us?
 
 The paper's Table III reports the wall-clock overhead of XPlacer's
 compiled instrumentation (5x-20x, ~15x average).  This module reproduces
-the *shape* of that measurement for the Python stack, per workload and per
-observation layer:
-
-* ``plain``     -- no tracer, no recorder: the telemetry path disabled.
-* ``traced``    -- XPlacer tracer attached (the paper's Table III column).
-* ``telemetry`` -- tracer plus a full :class:`TelemetryRecorder` (metrics,
-  timeline and JSONL sinks all live).
-* ``heat``      -- tracer plus a :class:`~repro.heatmap.store.HeatStore`
-  with source attribution: the ``repro-report`` configuration.  The
-  acceptance bar is < 2x over ``traced``.
-* ``detached``  -- a recorder attached and then detached before the run:
-  must cost the same as ``plain`` (regression guard that ``detach``
-  really unwires every hook).
+the *shape* of that measurement for the Python stack: each workload runs
+under a ladder of named observation configurations (:data:`RUNGS`), and
+each ratio in :data:`RATIOS` divides one rung's time by a named base
+rung.  :func:`measure_adaptive_fidelity` scores signature-guided
+adaptive sampling against a fixed stride.
 
 Usage::
 
@@ -24,47 +16,119 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import gc
 import io
 import sys
 import time
+from functools import partial
 from typing import Callable
 
+import numpy as np
+
+from ..heatmap.store import HeatStore
+from ..memsim import AddressSpace, MemoryKind, Processor
+from ..memsim.events import EventLog
+from ..runtime import Tracer
+from ..signature.tracker import PhaseTracker
+from ..signature.vector import signature_from_store
 from ..workloads.base import Session, make_session
+from ..workloads.registry import OVERHEAD_WORKLOADS, Runner
 
 from .events_jsonl import StringJsonl
 from .recorder import TelemetryRecorder
 
-__all__ = ["OVERHEAD_WORKLOADS", "measure_overhead", "format_rows", "main"]
+__all__ = ["RUNGS", "RATIOS", "measure_overhead",
+           "measure_adaptive_fidelity", "format_rows", "main"]
 
 
-def _pathfinder(session: Session) -> None:
-    from ..workloads.rodinia import Pathfinder
-    Pathfinder(session, cols=60_000, rows=240, pyramid_height=5).run()
+def _session(platform: str, trace: bool = True) -> Session:
+    return make_session(platform, trace=trace, materialize=False)
 
 
-def _smithwaterman(session: Session) -> None:
-    from ..workloads.smithwaterman import SmithWaterman
-    SmithWaterman(session, 160).run()
+def _plain(run: Runner, platform: str, name: str) -> None:
+    run(_session(platform, trace=False))
 
 
-def _lulesh(session: Session) -> None:
-    from ..workloads.lulesh import Lulesh
-    Lulesh(session, 8).run(6)
+def _traced(run: Runner, platform: str, name: str) -> None:
+    run(_session(platform))
 
 
-#: name -> runner(session).  All runs use footprint mode (no numpy
-#: backing): materialized runs are dominated by allocator/page-cache
-#: noise at measurable sizes, while footprint runs measure exactly the
-#: simulator + instrumentation code paths the ratio is about.
-OVERHEAD_WORKLOADS: dict[str, Callable[[Session], None]] = {
-    "sw": _smithwaterman,
-    "lulesh": _lulesh,
-    "pathfinder": _pathfinder,
+def _recorded(run: Runner, platform: str, name: str, *,
+              causes: bool = False, sites: bool = True) -> None:
+    session = _session(platform)
+    recorder = TelemetryRecorder(jsonl=StringJsonl())
+    recorder.attach(session.runtime, session.tracer, track_causes=causes)
+    session.platform.um.blame_sites = sites
+    try:
+        run(session)
+    finally:
+        recorder.detach()
+
+
+def _heat(run: Runner, platform: str, name: str) -> None:
+    session = _session(platform)
+    session.tracer.heat = HeatStore()
+    run(session)
+
+
+def _detached(run: Runner, platform: str, name: str) -> None:
+    session = _session(platform, trace=False)
+    recorder = TelemetryRecorder(jsonl=None)
+    recorder.attach(session.runtime)
+    recorder.detach()
+    run(session)
+
+
+def _heat_noattr(run: Runner, platform: str, name: str, *,
+                 phases: bool = False) -> None:
+    session = _session(platform)
+    heat = HeatStore(nbuckets=64, attribute=False)
+    session.tracer.heat = heat
+    if phases:
+        tracker = PhaseTracker(log=EventLog()).attach(session.tracer, heat)
+    run(session)
+    if phases:
+        tracker.finish()
+        heat.flush_current()
+        signature_from_store(heat, workload=name, platform=platform)
+
+
+#: rung name -> run(runner, platform, workload name), in timing order.
+RUNGS: dict[str, Callable[[Runner, str, str], None]] = {
+    # no tracer, no recorder
+    "plain": _plain,
+    # XPlacer tracer (the paper's Table III column)
+    "traced": _traced,
+    # tracer plus a full TelemetryRecorder (metrics, timeline, JSONL)
+    "telemetry": _recorded,
+    # tracer plus a heat store with attribution (repro-report)
+    "heat": _heat,
+    # a recorder attached and detached before an untraced run
+    "detached": _detached,
+    # tracer plus a 64-bucket heat store without attribution
+    "heat_noattr": _heat_noattr,
+    # heat_noattr plus a live PhaseTracker and the end-of-run signature
+    "signature": partial(_heat_noattr, phases=True),
+    # telemetry with causal provenance and site stack walks (repro-why)
+    "causes": partial(_recorded, causes=True),
+    # causal provenance without the per-API stack walk
+    "causes_no_sites": partial(_recorded, causes=True, sites=False),
+}
+
+#: ratio key -> (numerator rung, base rung).
+RATIOS: dict[str, tuple[str, str]] = {
+    "traced_x": ("traced", "plain"),
+    "telemetry_x": ("telemetry", "plain"),
+    "heat_x": ("heat", "plain"),
+    "heat_vs_traced_x": ("heat", "traced"),
+    "detached_x": ("detached", "plain"),
+    "signature_x": ("signature", "heat_noattr"),
+    "causes_x": ("causes", "telemetry"),
+    "causes_no_sites_x": ("causes_no_sites", "telemetry"),
 }
 
 
 def _timed(run: Callable[[], None], repeats: int) -> float:
-    import gc
     run()  # warm-up: imports, allocator pools, bytecode caches
     best = float("inf")
     for _ in range(repeats):
@@ -78,99 +142,139 @@ def _timed(run: Callable[[], None], repeats: int) -> float:
 def measure_overhead(
     workloads: tuple[str, ...] = ("sw", "lulesh"),
     *,
+    rungs: tuple[str, ...] = tuple(RUNGS),
     platform: str = "intel-pascal",
     repeats: int = 3,
 ) -> list[dict]:
-    """Time each workload under the four observation configurations.
+    """Time each workload on the named rungs (best of ``repeats``).
 
-    Returns one row per workload with absolute times and ratios against
-    the plain run (the paper's "overhead factor").
+    Returns one row per workload: ``<rung>_s`` for every timed rung, and
+    every :data:`RATIOS` entry whose numerator and base were both timed.
     """
+    unknown = sorted(set(rungs) - set(RUNGS))
+    if unknown:
+        raise ValueError(f"unknown rung(s) {unknown}; known: {list(RUNGS)}")
     rows: list[dict] = []
     for name in workloads:
         runner = OVERHEAD_WORKLOADS[name]
-
-        def plain() -> None:
-            runner(make_session(platform, trace=False, materialize=False))
-
-        def traced() -> None:
-            runner(make_session(platform, trace=True, materialize=False))
-
-        def telemetry() -> None:
-            session = make_session(platform, trace=True, materialize=False)
-            recorder = TelemetryRecorder(jsonl=StringJsonl())
-            recorder.attach(session.runtime, session.tracer)
-            try:
-                runner(session)
-            finally:
-                recorder.detach()
-
-        def heat() -> None:
-            from ..heatmap.store import HeatStore
-            session = make_session(platform, trace=True, materialize=False)
-            assert session.tracer is not None
-            session.tracer.heat = HeatStore()
-            runner(session)
-
-        def detached() -> None:
-            session = make_session(platform, trace=False, materialize=False)
-            recorder = TelemetryRecorder(jsonl=None)
-            recorder.attach(session.runtime)
-            recorder.detach()
-            runner(session)
-
-        plain_s = _timed(plain, repeats)
-        traced_s = _timed(traced, repeats)
-        telemetry_s = _timed(telemetry, repeats)
-        heat_s = _timed(heat, repeats)
-        detached_s = _timed(detached, repeats)
-        rows.append({
-            "workload": name,
-            "plain_s": plain_s,
-            "traced_s": traced_s,
-            "telemetry_s": telemetry_s,
-            "heat_s": heat_s,
-            "detached_s": detached_s,
-            "traced_x": traced_s / plain_s if plain_s else float("inf"),
-            "telemetry_x": telemetry_s / plain_s if plain_s else float("inf"),
-            "heat_x": heat_s / plain_s if plain_s else float("inf"),
-            "heat_vs_traced_x": heat_s / traced_s if traced_s else float("inf"),
-            "detached_x": detached_s / plain_s if plain_s else float("inf"),
-        })
+        row: dict = {"workload": name}
+        for rung, config in RUNGS.items():
+            if rung in rungs:
+                row[f"{rung}_s"] = _timed(
+                    lambda: config(runner, platform, name), repeats)
+        for key, (num, base) in RATIOS.items():
+            if f"{num}_s" in row and f"{base}_s" in row:
+                base_s = row[f"{base}_s"]
+                row[key] = row[f"{num}_s"] / base_s if base_s else float("inf")
+        rows.append(row)
     return rows
 
 
 def format_rows(rows: list[dict]) -> str:
-    """Render the Table-III-style text block."""
+    """Render each rung's time per workload, then each ratio's mean."""
+    if not rows:
+        return ""
     out = io.StringIO()
-    out.write(f"{'workload':14s}{'plain':>9s}{'traced':>9s}{'+telem':>9s}"
-              f"{'+heat':>9s}{'detach':>9s}"
-              f"{'traced':>8s}{'telem':>8s}{'heat':>8s}{'detach':>8s}\n")
-    for r in rows:
-        out.write(
-            f"{r['workload']:14s}"
-            f"{r['plain_s']:8.3f}s{r['traced_s']:8.3f}s"
-            f"{r['telemetry_s']:8.3f}s{r.get('heat_s', 0.0):8.3f}s"
-            f"{r['detached_s']:8.3f}s"
-            f"{r['traced_x']:7.1f}x{r['telemetry_x']:7.1f}x"
-            f"{r.get('heat_x', 0.0):7.1f}x{r['detached_x']:7.1f}x\n")
-    if rows:
-        mean = sum(r["telemetry_x"] for r in rows) / len(rows)
-        out.write(f"{'average telemetry overhead':40s}{mean:8.1f}x\n")
-        heat_rows = [r for r in rows if "heat_vs_traced_x" in r]
-        if heat_rows:
-            mean_heat = (sum(r["heat_vs_traced_x"] for r in heat_rows)
-                         / len(heat_rows))
-            out.write(f"{'average heat overhead vs traced':40s}"
-                      f"{mean_heat:8.2f}x\n")
+    out.write(f"{'rung':16s}"
+              + "".join(f"{row['workload']:>10s}" for row in rows) + "\n")
+    for rung in RUNGS:
+        if f"{rung}_s" in rows[0]:
+            out.write(f"{rung:16s}" + "".join(
+                f"{row[f'{rung}_s']:9.3f}s" for row in rows) + "\n")
+    for key, (num, base) in RATIOS.items():
+        if key not in rows[0]:
+            continue
+        mean = sum(row[key] for row in rows) / len(rows)
+        per = " ".join(f"{row['workload']} {row[key]:.2f}x" for row in rows)
+        label = f"average {num} overhead vs {base}"
+        out.write(f"{label:46s}{mean:7.2f}x  ({per})\n")
     return out.getvalue()
+
+
+# --------------------------------------------------------------------- #
+# adaptive-fidelity measurement
+
+_WORDS = 4096
+_QUARTER = _WORDS // 4
+_REGIMES = 4
+_EPOCHS_PER_REGIME = 8
+
+
+def _phased_program() -> list[list[tuple[Processor, bool, int, int]]]:
+    """Each regime repeats one deterministic pattern in its own quarter."""
+    program = []
+    for r in range(_REGIMES):
+        base = r * _QUARTER
+        epoch = [(Processor.GPU, False, base, base + _QUARTER)]
+        for i in range(16):
+            lo = base + (i * 61) % (_QUARTER - 16)
+            epoch.append((Processor.CPU, True, lo, lo + 16))
+        program.extend([epoch] * _EPOCHS_PER_REGIME)
+    return program
+
+
+def _replay(tracer: Tracer) -> list[np.ndarray]:
+    space = AddressSpace()
+    alloc = space.allocate(_WORDS * 4, MemoryKind.MANAGED, label="m")
+    tracer.trc_register(alloc)
+    snapshots = []
+    for epoch in _phased_program():
+        for proc, is_write, lo, hi in epoch:
+            tracer.on_access(proc, alloc, lo * 4, 4, hi - lo,
+                             is_write=is_write, indices=None, is_rmw=False)
+        tracer.flush_trace()
+        snapshots.append(tracer.smt.lookup(alloc.base).shadow.copy())
+        tracer.advance_epoch()
+    return snapshots
+
+
+def _phase_fidelity(snapshots: list[np.ndarray],
+                    reference: list[np.ndarray]) -> float:
+    scores = []
+    for r in range(_REGIMES):
+        lo = r * _EPOCHS_PER_REGIME
+        chunk = snapshots[lo:lo + _EPOCHS_PER_REGIME]
+        union = np.bitwise_or.reduce(np.stack(chunk), axis=0)
+        scores.append(float(np.mean(union == reference[lo])))
+    return sum(scores) / len(scores)
+
+
+def measure_adaptive_fidelity(*, auto_stride: int = 8, auto_hot: int = 2,
+                              fixed_stride: int = 2) -> dict:
+    """Score ``sample="auto"`` against a fixed stride at >= equal budget.
+
+    The phased synthetic program repeats one deterministic access pattern
+    per regime, each in its own region.  Fidelity is per-word agreement
+    between the per-phase union of recorded shadow states and an
+    unsampled run's shadow.
+    """
+    reference = _replay(Tracer())
+
+    auto_tracer = Tracer(sample="auto", auto_stride=auto_stride,
+                         auto_hot=auto_hot)
+    auto_tracer.heat = HeatStore(nbuckets=32, attribute=False)
+    auto_snaps = _replay(auto_tracer)
+
+    fixed_tracer = Tracer(sample=fixed_stride)
+    fixed_snaps = _replay(fixed_tracer)
+
+    auto_desc, fixed_desc = auto_tracer.describe(), fixed_tracer.describe()
+    return {
+        "auto_recorded": auto_desc["words_recorded"],
+        "fixed_recorded": fixed_desc["words_recorded"],
+        "words_seen": auto_desc["words_seen"],
+        "phase_changes": auto_tracer.auto_changes,
+        "auto_fidelity": _phase_fidelity(auto_snaps, reference),
+        "fixed_fidelity": _phase_fidelity(fixed_snaps, reference),
+    }
 
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point (``python -m repro.telemetry.overhead``)."""
     parser = argparse.ArgumentParser(
         prog="repro-trace-overhead",
-        description="Measure instrumentation overhead (paper Table III shape).")
+        description="Time every rung of the overhead ladder (paper "
+                    "Table III shape) and score adaptive sampling.")
     parser.add_argument("--workloads", nargs="*",
                         default=["sw", "lulesh"],
                         choices=sorted(OVERHEAD_WORKLOADS),
@@ -178,11 +282,16 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--platform", default="intel-pascal",
                         help="platform preset (default: intel-pascal)")
     parser.add_argument("--repeats", type=int, default=3,
-                        help="take the best of N runs per configuration")
+                        help="take the best of N runs per rung")
     args = parser.parse_args(argv)
     rows = measure_overhead(tuple(args.workloads), platform=args.platform,
                             repeats=args.repeats)
     sys.stdout.write(format_rows(rows))
+    fid = measure_adaptive_fidelity()
+    sys.stdout.write(
+        f"adaptive fidelity {fid['auto_fidelity']:.3f} vs fixed "
+        f"{fid['fixed_fidelity']:.3f} at {fid['auto_recorded']} vs "
+        f"{fid['fixed_recorded']} recorded words\n")
     return 0
 
 

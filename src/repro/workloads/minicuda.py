@@ -25,16 +25,8 @@ tree-walker and the differential byte-comparisons would be meaningless.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ..interp.interpreter import Interpreter
-    from ..memsim import Platform
-    from ..runtime import Tracer
-
 __all__ = ["CATALOG", "catalog", "lulesh_source", "pathfinder_source",
-           "run_minicuda", "spatter_lcg_source", "spatter_stride_source",
-           "stencil_source"]
+           "spatter_lcg_source", "spatter_stride_source", "stencil_source"]
 
 #: Replacement pragmas every catalogue program carries: without them
 #: ``cudaMallocManaged`` never registers shadow blocks and tracing is a
@@ -227,13 +219,3 @@ CATALOG = {
 def catalog() -> dict[str, str]:
     """Every bundled program rendered at its default size."""
     return {name: build() for name, build in CATALOG.items()}
-
-
-def run_minicuda(name: str, *, platform: "Platform | None" = None,
-                 tracer: "Tracer | None" = None,
-                 backend: str | None = None) -> "Interpreter":
-    """Parse, instrument and run one catalogue program; returns the
-    interpreter for inspection (stdout, tracer, heap state)."""
-    from ..interp.interpreter import run_program
-    return run_program(CATALOG[name](), platform=platform, tracer=tracer,
-                       source_name=f"{name}.cu", backend=backend)

@@ -7,7 +7,6 @@ import pytest
 from repro.causes.capture import (
     IncompatibleCaptureError,
     build_report,
-    causal_capture,
     load_report,
 )
 from repro.causes.graph import REPORT_VERSION
@@ -82,19 +81,3 @@ class TestFlagHygiene:
     def test_tracking_is_off_by_default(self):
         session = make_session("intel-pascal", trace=True, materialize=False)
         assert session.platform.um.track_causes is False
-
-    def test_causal_capture_restores_the_driver_flags(self):
-        session = make_session("intel-pascal", trace=True, materialize=False)
-        um = session.platform.um
-        with causal_capture(session.platform, sites=False):
-            assert um.track_causes is True
-            assert um.blame_sites is False
-        assert um.track_causes is False
-
-    def test_causal_capture_restores_on_error(self):
-        session = make_session("intel-pascal", trace=True, materialize=False)
-        um = session.platform.um
-        with pytest.raises(RuntimeError, match="boom"):
-            with causal_capture(session.platform):
-                raise RuntimeError("boom")
-        assert um.track_causes is False

@@ -3,6 +3,8 @@
 import csv
 import io
 
+import pytest
+
 from repro.evalx.base import ExperimentResult
 from repro.evalx.runner import main, rows_to_csv
 
@@ -49,3 +51,12 @@ class TestTelemetryDir:
             assert (exp_dir / artifact).stat().st_size > 0
         # The context must not leak into later runs.
         assert telemetry_context.current_recorder() is None
+
+
+class TestReportNeedsTelemetryDir:
+    def test_report_without_telemetry_dir_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["fig7", "--report"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err == "xplacer-eval: --report requires --telemetry-dir\n"

@@ -43,7 +43,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     try:
         preset = resolve_platform(args.platform)
         runner_for(args.workload)
-    except UnknownNameError as exc:
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+    except (UnknownNameError, OSError) as exc:
         print(f"repro-why run: {exc}", file=sys.stderr)
         return 2
     result = run_with_causes(args.workload, preset, args.out,

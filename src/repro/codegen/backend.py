@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from functools import partial
 
+from ..backends import BACKENDS
 from ..heatmap.store import SourceSite
 from ..interp.interpreter import _cdiv, _cmod
 from ..interp.values import InterpError, _reject, _typed_view, printf
@@ -41,10 +42,6 @@ __all__ = [
     "run_compiled",
     "set_default_backend",
 ]
-
-#: Selectable backends (``auto`` = vectorize when provable, else
-#: codegen, else interp).
-BACKENDS = ("auto", "interp", "codegen", "codegen-vec")
 
 _DEFAULT = "interp"
 

@@ -40,6 +40,7 @@ from ..instrument.typesys import (
     StructType,
 )
 from ..interp.values import InterpError, numpy_dtype
+from .memo import LRU
 
 __all__ = [
     "CodegenBail",
@@ -529,6 +530,10 @@ class ScalarEmitter:
     def stmt_for(self, s: A.For) -> None:
         if s.init is not None:
             self.stmt(s.init)
+        self.for_loop(s)
+
+    def for_loop(self, s: A.For) -> None:
+        """A ``for`` loop after its init statement."""
         self.w("while True:")
         self.depth += 1
         if s.cond is not None:
@@ -934,7 +939,7 @@ def _scan_break_continue(s) -> tuple[bool, bool]:
 # memoized compilation
 
 #: (digest, heat_on) -> CompiledKernel or the CodegenBail that stopped it.
-_SCALAR_CACHE: dict[tuple[str, bool], CompiledKernel | CodegenBail] = {}
+_SCALAR_CACHE = LRU()
 
 
 def compile_scalar(fn: A.FunctionDef, heat_on: bool) -> CompiledKernel:

@@ -21,6 +21,9 @@ of that kernel reuses each resolved access whose inputs (address and
 mask bytes, allocation identity) are unchanged.  When every access
 matches, the dependence proof and the TraceBatcher word count -- pure
 functions of the resolved accesses -- are taken from the record too.
+
+:class:`HostLoopRun` runs a host ``for`` loop the same way, one lane per
+iteration (see :mod:`repro.codegen.host`).
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import numpy as np
 from ..interp.values import _typed_view
 from .emitter import DTYPES
 
-__all__ = ["Geometry", "VecBail", "VecRun"]
+__all__ = ["Geometry", "HostLoopRun", "VecBail", "VecRun"]
 
 
 class VecBail(Exception):
@@ -90,8 +93,9 @@ class Geometry:
     ``keys[i]``/``res[i]`` are the inputs and the resolved access (or
     ``None`` for an all-masked access) of the i-th heap access in
     statement order; ``smt`` is the per-plan shadow-presence tuple and
-    ``seen`` the TraceBatcher word count booked under it (both ``None``
-    when the tracer was off).  Every field is read-only once built.
+    ``seen`` the ``(word count, final chain)`` pair :meth:`VecRun._replay`
+    found under it (``None`` when the tracer was off or the batcher held
+    a pending interval).  Every field is read-only once built.
     """
 
     __slots__ = ("shape", "bx", "tx", "keys", "res", "smt", "seen")
@@ -108,6 +112,9 @@ class Geometry:
 
 class VecRun:
     """Per-launch state for one vectorized kernel execution."""
+
+    #: Keep the inputs of every access for :meth:`geometry`.
+    records = True
 
     def __init__(self, interp, grid: int, block: int, sites,
                  prev: Geometry | None = None) -> None:
@@ -135,7 +142,7 @@ class VecRun:
         self._keys: list[tuple] = []
         self._res: list[_Res | None] = []
         self._smt: tuple | None = None
-        self._seen: int | None = None
+        self._seen: tuple | None = None
         #: The whole launch reused ``prev`` (set by :meth:`finish`).
         self.reused = False
 
@@ -249,6 +256,8 @@ class VecRun:
 
     def _resolve(self, key, addr, m, kind, site_i, traced):
         a = np.asarray(addr)
+        if not self.records:
+            return self._resolve_fresh(key, a, m, kind, site_i, traced)
         if m is None:
             mkey = None
         else:
@@ -404,10 +413,11 @@ class VecRun:
         """Prove the launch free of cross-thread data dependence.
 
         Grouped per allocation; all-read groups are trivially safe.  For
-        any overlapping pair involving a write, the plans must touch
-        identical words from identical lanes AND each word must belong to
-        a single lane — then per-word event order equals any per-thread
-        serialization, which is what the scalar oracle produces.
+        any overlapping pair involving a write, each shared word must be
+        touched by a single lane in both plans -- then per-word event
+        order equals any per-thread serialization, which is what the
+        scalar oracle produces.  (A lone write plan may hit one word
+        from several lanes: its scatter is explicitly last-wins.)
         """
         groups: dict[int, list[_Res]] = {}
         for p in self.plans:
@@ -423,44 +433,56 @@ class VecRun:
                         continue
                     if p.wmax < q.wmin or q.wmax < p.wmin:
                         continue
-                    if np.intersect1d(p.uniq, q.uniq).size == 0:
+                    shared = np.intersect1d(p.uniq, q.uniq)
+                    if shared.size == 0:
                         continue
-                    identical = (p.words.size == q.words.size
-                                 and np.array_equal(p.words, q.words)
-                                 and np.array_equal(p.lanes, q.lanes))
-                    if not identical:
+                    words = np.concatenate((p.words, q.words))
+                    lanes = np.concatenate((p.lanes, q.lanes))
+                    on = np.isin(words, shared)
+                    pairs = np.unique(words[on] * self.n + lanes[on])
+                    if np.unique(pairs // self.n).size != pairs.size:
                         raise VecBail("cross-thread data dependence")
-                    if p.uniq.size != p.words.size:
-                        raise VecBail("colliding words across lanes")
 
-    def _batcher_seen(self, present) -> int | None:
-        """Words the interpreter's TraceBatcher would tally for this
-        launch, or ``None`` when parity cannot be proven.
+    def _replay(self, present, pending):
+        """What the interpreter's TraceBatcher would book for this run:
+        ``(seen, final, seeded)``, or ``None`` when parity cannot be
+        proven.
 
-        The interpreter counts *post-merge interval widths*: per thread,
-        consecutive trace calls on the same ``(allocation, kind)`` merge
-        into one pending interval when they overlap or touch, and only
-        flushed interval widths reach ``words_seen``.  This simulates
-        that accounting exactly, vectorized across lanes (each lane's
-        pending interval advances through the plans in statement order;
-        inactive lanes skip a plan just like a masked-off thread skips
-        the statement).
+        The interpreter counts *post-merge interval widths*: consecutive
+        trace calls on the same ``(allocation, kind)`` merge into one
+        pending interval when they overlap or touch (RMW: only when they
+        extend it), and only flushed interval widths reach
+        ``words_seen``.  This simulates that accounting exactly,
+        vectorized across lanes (each lane's pending interval advances
+        through the plans in statement order; inactive lanes skip a plan
+        just like a masked-off thread skips the statement).
 
-        The one case the per-lane simulation cannot see is a chain
-        *continuing across the lane boundary* -- thread ``l``'s final
-        pending interval merging with thread ``l+1``'s first trace call.
-        Such merges change nothing when the key's traced words are
-        duplicate-free (merged unions stay collapse-free, so widths sum
-        to the same total), so that case is allowed; a boundary touch on
-        a key *with* colliding words returns ``None`` and the launch
-        falls back to the scalar backend.
+        * ``pending`` is the batcher's interval before the run, as
+          ``(block, proc, kind, lo, hi)``.  When it has this run's
+          processor and the key of a traced plan, it seeds the first
+          active lane's chain (``seeded``), so its merge with the first
+          access is simulated; ``seen`` then includes its width.
+        * A chain *continuing across a lane boundary* -- one active
+          lane's final interval merging with the next active lane's
+          first -- only ever merges whole per-lane chains of one
+          super-run (:meth:`_disjoint`), so it changes nothing when those
+          chains are pairwise disjoint (widths sum to the width of their
+          union); a boundary touch on a read or write key whose
+          super-run has overlapping chains returns ``None``.  RMW
+          intervals merge only by extension, so their widths always sum
+          to the same total.
+        * ``final`` is the interval the batcher holds after the last
+          lane, ``(plan index, lo, hi)`` of a read or write chain, or
+          ``None`` (an RMW chain counts the same merged or not).  The
+          caller leaves it pending, so it merges with the next access
+          exactly as it would have; ``seen`` includes its width.
 
         ``present`` flags, per plan, a traced access to a shadowed
         allocation (only those reach the batcher).
         """
         traced = [p for p, on in zip(self.plans, present) if on]
-        if not traced:
-            return 0
+        if self.tracer.batcher is None:
+            return sum(p.words.size for p in traced), None, False
         n = self.n
         pkey = np.full(n, -1, dtype=np.int64)   # pending chain key per lane
         plo = np.zeros(n, dtype=np.int64)
@@ -469,53 +491,157 @@ class VecRun:
         flo = np.zeros(n, dtype=np.int64)
         fhi = np.zeros(n, dtype=np.int64)
         counts = np.zeros(n, dtype=np.int64)
+        runs = np.zeros(n, dtype=np.int64)      # key changes inside the lane
+        run0 = np.zeros(n, dtype=np.int64)      # plan starting the last run
         keys: dict[tuple[int, int], int] = {}
         kinds: list[int] = []
-        key_words: dict[int, list[np.ndarray]] = {}
-        for p in traced:
+        plan_of: dict[int, int] = {}
+        for t, p in enumerate(traced):
             kk = (id(p.alloc), p.kind)
-            k = keys.get(kk)
-            if k is None:
-                k = keys[kk] = len(kinds)
+            if kk not in keys:
+                keys[kk] = len(kinds)
                 kinds.append(p.kind)
-                key_words[k] = []
-            key_words[k].append(p.words)
+                plan_of[keys[kk]] = t
+        #: Every per-lane chain: (lane, key run in the lane, lo, hi) arrays.
+        chains: list[tuple[np.ndarray, ...]] = []
+        seeded = False
+        first = min(int(p.lane0[0]) for p in traced)
+        if pending is not None:
+            block, proc, kind, lo, hi = pending
+            k = keys.get((id(block.alloc), kind))
+            if k is not None and proc is self.tracer.current_proc:
+                seeded = True
+                pkey[first], plo[first], phi[first] = k, lo, hi
+        for t, p in enumerate(traced):
+            k = keys[(id(p.alloc), p.kind)]
             width = p.size // 4 if p.size > 4 else 1
             starts = p.words if width == 1 else p.words[::width]
             L = p.lane0
             lo = plo[L]
             hi = phi[L]
-            same = pkey[L] == k
+            prev = pkey[L]
+            same = prev == k
             if p.kind == _RMW:
                 merge = same & ((starts == hi) | (starts + width == lo))
             else:
                 merge = same & (starts <= hi) & (starts + width >= lo)
-            flush = (pkey[L] != -1) & ~merge
+            flush = (prev != -1) & ~merge
             fl = L[flush]
             counts[fl] += phi[fl] - plo[fl]
+            chains.append((fl, runs[fl], plo[fl], phi[fl]))
             plo[L] = np.where(merge, np.minimum(lo, starts), starts)
             phi[L] = np.where(merge, np.maximum(hi, starts + width),
                               starts + width)
             pkey[L] = k
+            runs[L[(prev != -1) & ~same]] += 1
+            run0[L[~same]] = t
             new = fkey[L] == -1
             nl = L[new]
             fkey[nl] = k
             flo[nl] = starts[new]
             fhi[nl] = starts[new] + width
-        have = pkey != -1
-        counts[have] += phi[have] - plo[have]
-        boundary = (pkey[:-1] != -1) & (pkey[:-1] == fkey[1:])
-        if boundary.any():
+        act = np.nonzero(pkey != -1)[0]
+        counts[act] += phi[act] - plo[act]
+        chains.append((act, runs[act], plo[act], phi[act]))
+        a, b = act[:-1], act[1:]
+        join = pkey[a] == fkey[b]
+        if join.any():
             kind_arr = np.asarray(kinds, dtype=np.int64)
-            is_rmw = kind_arr[np.clip(pkey[:-1], 0, None)] == _RMW
-            touch_rw = (flo[1:] <= phi[:-1]) & (fhi[1:] >= plo[:-1])
-            touch_rmw = (flo[1:] == phi[:-1]) | (fhi[1:] == plo[:-1])
-            touch = boundary & np.where(is_rmw, touch_rmw, touch_rw)
-            for k in np.unique(pkey[:-1][touch]):
-                words = np.concatenate(key_words[int(k)])
-                if np.unique(words).size != words.size:
-                    return None
-        return int(counts.sum())
+            touch = join & (kind_arr[pkey[a]] != _RMW) \
+                & (flo[b] <= phi[a]) & (fhi[b] >= plo[a])
+            if touch.any() and not self._disjoint(chains, act, runs, join,
+                                                  touch):
+                return None
+        seen = int(counts.sum())
+        last = int(act[-1])
+        kf = int(pkey[last])
+        if kinds[kf] == _RMW:
+            return seen, None, seeded
+        final = self._final_chain(traced, keys, kf, act, pkey, runs > 0,
+                                  run0, pending if seeded else None)
+        if final is None:
+            final = (int(plo[last]), int(phi[last]))
+        return seen, (plan_of[kf],) + final, seeded
+
+    def _disjoint(self, chains, act, runs, join, touch) -> bool:
+        """Are the chains of every *super-run* holding a touching lane
+        boundary pairwise disjoint?
+
+        A super-run is a maximal sequence of same-key chains in lane
+        order: a lane's key runs, with the last run of one active lane
+        and the first run of the next joined when their keys match.
+        Only chains of one super-run can merge in the interpreter, and
+        only whole per-lane chains merge, so widths agree when those
+        chains do not overlap.
+        """
+        start = np.zeros(act.size, dtype=np.int64)  # first run per lane
+        np.cumsum(runs[act][:-1] + 1, out=start[1:])
+        joined = np.zeros(int(start[-1] + runs[act[-1]] + 1), dtype=np.int64)
+        joined[start[1:][join]] = 1
+        super_run = np.arange(joined.size) - np.cumsum(joined)
+        pos = np.zeros(self.n, dtype=np.int64)
+        pos[act] = np.arange(act.size)
+        lane, run, lo, hi = (np.concatenate(x) for x in zip(*chains))
+        sid = super_run[start[pos[lane]] + run]
+        sel = np.isin(sid, super_run[start[1:][touch]])
+        order = np.lexsort((lo[sel], sid[sel]))
+        sid, lo, hi = sid[sel][order], lo[sel][order], hi[sel][order]
+        same = sid[1:] == sid[:-1]
+        return not (same & (lo[1:] < hi[:-1])).any()
+
+    def _final_chain(self, traced, keys, kf, act, pkey, mixed, run0,
+                     pending):
+        """``(lo, hi)`` of the batcher's final read/write chain when it may
+        have grown across lanes, else ``None`` (the last lane's own
+        chain is exact).
+
+        The chain lies in the run of same-key events ending the launch:
+        the last run of the last lane whose key changed (or which ends
+        with another key), then every later lane.  It is replayed over
+        exactly those events, in lane order.
+        """
+        ok = (~mixed[act]) & (pkey[act] == kf)
+        if not ok[-1]:
+            return None
+        bad = np.nonzero(~ok)[0]
+        if bad.size == 0:
+            lane_s, t_s = int(act[0]), 0
+        elif pkey[act[bad[-1]]] == kf:
+            lane_s, t_s = int(act[bad[-1]]), int(run0[act[bad[-1]]])
+            pending = None
+        else:
+            lane_s, t_s = int(act[bad[-1] + 1]), 0
+            pending = None
+        if lane_s == int(act[-1]) and pending is None:
+            return None
+        lanes, order, lo, hi = [], [], [], []
+        for t, p in enumerate(traced):
+            if keys[(id(p.alloc), p.kind)] != kf:
+                continue
+            width = p.size // 4 if p.size > 4 else 1
+            starts = p.words if width == 1 else p.words[::width]
+            sel = (p.lane0 > lane_s) | ((p.lane0 == lane_s) & (t >= t_s))
+            lanes.append(p.lane0[sel])
+            order.append(np.full(int(sel.sum()), t, dtype=np.int64))
+            lo.append(starts[sel])
+            hi.append(starts[sel] + width)
+        idx = np.lexsort((np.concatenate(order), np.concatenate(lanes)))
+        lo = np.concatenate(lo)[idx]
+        hi = np.concatenate(hi)[idx]
+        if pending is not None:
+            lo = np.concatenate(([pending[3]], lo))
+            hi = np.concatenate(([pending[4]], hi))
+        run_lo = np.minimum.accumulate(lo)
+        run_hi = np.maximum.accumulate(hi)
+        if ((lo[1:] <= run_hi[:-1]) & (hi[1:] >= run_lo[:-1])).all():
+            return int(run_lo[-1]), int(run_hi[-1])
+        cur_lo, cur_hi = int(lo[0]), int(hi[0])
+        for s, e in zip(lo[1:].tolist(), hi[1:].tolist()):
+            if s <= cur_hi and e >= cur_lo:
+                cur_lo, cur_hi = min(cur_lo, s), max(cur_hi, e)
+            else:
+                cur_lo, cur_hi = s, e
+        return cur_lo, cur_hi
 
     def finish(self) -> None:
         """Validate the launch, then apply batched shadow/heat updates.
@@ -523,7 +649,11 @@ class VecRun:
         A launch whose every access matched the previous launch's
         :class:`Geometry` skips :meth:`_check` (the record's launch
         passed it on the same plans) and, under the same shadow
-        presence, books the recorded :meth:`_batcher_seen` count.
+        presence and an empty batcher, books the recorded
+        :meth:`_replay` result.  The batcher's pending interval is
+        flushed only when the run traces anything, and the run's own
+        final read/write chain is left pending, as the interpreter
+        leaves it.
         """
         if self._finished:
             return
@@ -539,16 +669,30 @@ class VecRun:
         blocks = [smt.lookup(p.alloc.base) if p.traced else None
                   for p in self.plans]
         present = tuple(b is not None for b in blocks)
-        if self.reused and present == prev.smt:
-            seen = prev.seen
-        else:
-            seen = self._batcher_seen(present)
-            if seen is None:
+        self._smt = present
+        if not any(present):
+            self._seen = (0, None)
+            return
+        batcher = tracer.batcher
+        pending = None
+        if batcher is not None and batcher.block is not None:
+            pending = (batcher.block, batcher.proc, batcher.kind,
+                       batcher.lo, batcher.hi)
+        replay = None
+        if (self.reused and pending is None and present == prev.smt
+                and prev.seen is not None):
+            replay = prev.seen + (False,)
+        if replay is None:
+            replay = self._replay(present, pending)
+            if replay is None:
                 raise VecBail(
                     "cross-lane trace coalescing with colliding words")
-        self._smt = present
-        self._seen = seen
+        seen, final, seeded = replay
+        if not seeded:
+            self._seen = (seen, final)
         tracer.flush_trace()
+        if seeded:
+            seen -= pending[4] - pending[3]
         proc = tracer.current_proc
         heat = tracer.heat
         sites = self.sites
@@ -565,6 +709,15 @@ class VecRun:
                 if p.kind != _READ:
                     heat.record(p.alloc, proc, is_write=True,
                                 idx=p.words, site=site, n=p.count)
+        if final is not None:
+            t, lo, hi = final
+            plan = [p for p, on in zip(self.plans, present) if on][t]
+            seen -= hi - lo
+            batcher.block = smt.lookup(plan.alloc.base)
+            batcher.proc = proc
+            batcher.kind = plan.kind
+            batcher.lo = lo
+            batcher.hi = hi
         tracer.note_words(seen)
 
     def geometry(self) -> Geometry:
@@ -578,3 +731,46 @@ class VecRun:
         for alloc, payload in self._snapshots.values():
             if alloc.data is not None:
                 alloc.data[:] = payload
+
+
+class HostLoopRun(VecRun):
+    """One execution of a host ``for`` loop as a 1-D grid: lane ``l`` is
+    iteration ``l``, and ``iv`` holds the induction variable per lane.
+
+    Beyond a launch it guards the host cells the body reads as locals
+    (a write plan into one bails: those loads are not plans, so
+    :meth:`VecRun._check` cannot see the dependence) and takes the host
+    cell of every declaration the body executed, lane by lane in
+    statement order, as the interpreter's iterations would.  It leaves no
+    :class:`Geometry`.
+    """
+
+    records = False
+
+    def __init__(self, interp, start: int, step: int, n: int,
+                 sites) -> None:
+        super().__init__(interp, 1, n, sites)
+        self.iv = start + step * self.tx
+        self._decls: list[tuple[str, int, object]] = []
+
+    def decl(self, name: str, size: int, m) -> None:
+        """A declaration executed on the lanes of mask ``m``."""
+        self._decls.append((name, size, m))
+
+    def finish(self, cells=()) -> None:
+        for p in self.plans:
+            if p.kind != _READ and any(p.alloc.base <= a
+                                       < p.alloc.base + p.alloc.size
+                                       for a in cells):
+                raise VecBail("loop writes a local it reads")
+        super().finish()
+        if self._decls:
+            ran = np.array([np.ones(self.n, dtype=bool) if m is None
+                            else np.broadcast_to(np.asarray(m, dtype=bool),
+                                                 (self.n,))
+                            for _, _, m in self._decls])
+            alloc = self.interp._alloc_cell
+            decls = self._decls
+            for k in np.nonzero(ran.T)[1].tolist():
+                alloc(decls[k][0], decls[k][1])
+        self.tracer.note_host_loop("codegen-vec")

@@ -22,16 +22,27 @@ Functions it cannot lower (struct values, globals, undefined names,
 ``threadIdx`` outside a kernel, ...) raise :class:`CodegenBail` and are
 tree-walked instead.  Each host function counts once per interpreter in
 ``Tracer.backend_info()["host"]`` under the tier that runs it.
+
+A data-parallel ``for`` loop (:func:`_loop_shape`, then a body the
+vectorizer can lower without writing an outer local) is also emitted as
+a 1-D grid: under ``auto``/``codegen-vec`` each execution first runs as
+a :class:`~repro.codegen.gridexec.HostLoopRun`, one lane per iteration,
+through the vectorizer's expression lowering; any exception restores the
+values and runs the scalar loop from its first iteration.  Every host
+loop execution counts in ``backend_info()["host_loops"]`` under the tier
+that ran it.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import fields as _dataclass_fields
 from functools import partial
 
 from ..heatmap.store import SourceSite
 from ..instrument import ast_nodes as A
-from ..instrument.typesys import Array, Pointer, StructType
+from ..instrument.typesys import Array, Pointer, Primitive, StructType
 from ..interp.interpreter import _ALLOCATORS, alloc_label
 from ..interp.values import InterpError, _typed_view
 from .backend import _tracer_eligible, bind, memoized
@@ -45,28 +56,36 @@ from .emitter import (
     kernel_digest,
     resolve_kernel,
 )
+from .gridexec import HostLoopRun
+from .memo import LRU
+from .vectorize import VecEmitter, analyze_body
 
 __all__ = ["HostEmitter", "bind_host", "compile_host"]
+
+
+def _nodes(node):
+    """Every AST node under ``node`` (itself included)."""
+    stack = [node]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, list):
+            stack.extend(x)
+        elif isinstance(x, A.Node):
+            yield x
+            stack.extend(getattr(x, f.name) for f in _dataclass_fields(x))
 
 
 def _address_taken(fn: A.FunctionDef, res) -> set[Symbol]:
     """Scalar locals whose address is taken (``&x``, through casts)."""
     out: set[Symbol] = set()
-    stack: list = [fn.body]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, list):
-            stack.extend(node)
-        elif isinstance(node, A.Node):
-            if type(node) is A.Unary and node.op == "&":
-                inner = node.operand
-                while type(inner) is A.Cast:
-                    inner = inner.operand
-                sym = res.map.get(id(inner))
-                if sym is not None and type(sym.ctype) is not Array:
-                    out.add(sym)
-            stack.extend(getattr(node, f.name)
-                         for f in _dataclass_fields(node))
+    for node in _nodes(fn.body):
+        if type(node) is A.Unary and node.op == "&":
+            inner = node.operand
+            while type(inner) is A.Cast:
+                inner = inner.operand
+            sym = res.map.get(id(inner))
+            if sym is not None and type(sym.ctype) is not Array:
+                out.add(sym)
     return out
 
 
@@ -143,6 +162,67 @@ class HostEmitter(ScalarEmitter):
                 self.w(f"return {code}")
             return
         super().stmt(s)
+
+    def stmt_while(self, s: A.While) -> None:
+        self.w("_HLN('codegen')")
+        super().stmt_while(s)
+
+    def stmt_do_while(self, s: A.DoWhile) -> None:
+        self.w("_HLN('codegen')")
+        super().stmt_do_while(s)
+
+    def stmt_for(self, s: A.For) -> None:
+        shape = _loop_shape(s, self)
+        if shape is None:
+            self.w("_HLN('codegen')")
+            super().stmt_for(s)
+            return
+        self.stmt(s.init)
+        mark = len(self.lines), len(self.sites), self.ntmp, self.depth
+        try:
+            self.grid_for(s, *shape)
+        except CodegenBail:
+            del self.lines[mark[0]:]
+            del self.line_of[mark[0]:]
+            del self.sites[mark[1]:]
+            self.ntmp, self.depth = mark[2], mark[3]
+            self.w("_HLN('codegen')")
+            self.for_loop(s)
+        self.line_known = False
+
+    def grid_for(self, s: A.For, ind: Symbol, op: str, bound: A.Expr,
+                 step: int) -> None:
+        """Try ``s`` as a 1-D grid (:class:`HostLoopRun`), one lane per
+        iteration; on any exception restore and run the scalar loop
+        from the first iteration."""
+        self.w("_VR = None")
+        self.w("try:")
+        self.depth += 1
+        bc, _ = self.expr(bound)
+        self.w(f"_VR = _HLOOP(_I, {ind.pyname}, {bc}, {step}, {op!r}, "
+               f"{self._key(ind.ctype)!r}, _SITES)")
+        self.w("if _VR is not None:")
+        self.depth += 1
+        line = self.tmp()
+        self.w(f"{line} = _I._line")
+        loop = _LoopEmitter(self, s, ind, line)
+        loop.stmt(s.body)
+        self.ntmp = loop.ntmp
+        cells = list(dict.fromkeys(_cells_in(bound, self) + loop.cells))
+        self.w("_VR.finish(("
+               + "".join(f"A{c.pyname}, " for c in cells) + "))")
+        self.depth -= 2
+        self.w("except Exception:")
+        self.w("    if _VR is not None:")
+        self.w("        _VR.restore()")
+        self.w("    _VR = None")
+        self.w("if _VR is not None:")
+        self.w(f"    _I._line = {line}")
+        self.w("else:")
+        self.depth += 1
+        self.w("_HLN('codegen')")
+        self.for_loop(s)
+        self.depth -= 1
 
     def alloc_cell(self, sym: Symbol) -> None:
         """Take ``sym``'s host cell, as the interpreter's ``_alloc_local``."""
@@ -306,10 +386,209 @@ class HostEmitter(ScalarEmitter):
 
 
 # --------------------------------------------------------------------- #
+# host loops as 1-D grids
+
+#: Statements a grid loop's body may not contain.
+_NOT_STRAIGHT = (A.While, A.DoWhile, A.For, A.Return, A.Break, A.Continue)
+
+#: Pure expression nodes a grid loop's bound may contain.
+_PURE = (A.IntLit, A.FloatLit, A.BoolLit, A.CharLit, A.NullLit, A.Ident,
+         A.Binary, A.Unary, A.Cast, A.SizeofType, A.Ternary)
+
+_INT_KEYS = {"i4": (-2 ** 31, 2 ** 31 - 1), "u4": (0, 2 ** 32 - 1),
+             "i8": (-2 ** 63, 2 ** 63 - 1)}
+
+_SWAP = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "!=": "!="}
+
+
+def _cells_in(e: A.Expr, host: "HostEmitter") -> list[Symbol]:
+    """Memory-backed locals ``e`` reads."""
+    syms = (host.res.map.get(id(x)) for x in _nodes(e)
+            if type(x) is A.Ident)
+    return [sym for sym in syms if sym in host.cells]
+
+
+def _loop_shape(s: A.For, host: "HostEmitter"):
+    """``(induction symbol, op, bound, step)`` when ``s`` has the shape of
+    a grid loop, else ``None``: ``for (int i = e; i <op> bound; i += c)``
+    with a pure bound that reads no induction variable, and a body of
+    declarations, expression statements and ``if`` with a source line on
+    every statement.  What the body computes is vetted by lowering it."""
+    init, cond, stp = s.init, s.cond, s.step
+    if type(init) is not A.DeclStmt or len(init.decls) != 1:
+        return None
+    d = init.decls[0]
+    ind = host.res.map.get(id(d))
+    if (ind is None or d.init is None or ind in host.cells
+            or not isinstance(d.ctype, Primitive) or d.ctype.is_float
+            or host._key(d.ctype) not in _INT_KEYS):
+        return None
+    if type(cond) is not A.Binary or cond.op not in _SWAP:
+        return None
+    op, bound = cond.op, cond.right
+    if not (type(cond.left) is A.Ident
+            and host.res.map.get(id(cond.left)) is ind):
+        op, bound = _SWAP[cond.op], cond.left
+        if not (type(cond.right) is A.Ident
+                and host.res.map.get(id(cond.right)) is ind):
+            return None
+    for x in _nodes(bound):
+        if not isinstance(x, _PURE) or (
+                type(x) is A.Unary and x.op not in ("-", "+", "!", "~")):
+            return None
+        if type(x) is A.Ident:
+            sym = host.res.map.get(id(x))
+            if sym is None or sym is ind:
+                return None
+    step = _step_of(stp, ind, host)
+    if not step or (op in ("<", "<=") and step < 0) or (
+            op in (">", ">=") and step > 0):
+        return None
+    for x in _nodes(s.body):
+        if isinstance(x, A.Stmt) and (isinstance(x, _NOT_STRAIGHT)
+                                      or not x.line):
+            return None
+    return ind, op, bound, step
+
+
+def _step_of(e, ind: Symbol, host: "HostEmitter") -> int:
+    """The constant step of ``i++``/``--i``/``i += c``/``i -= c`` on the
+    induction variable, else 0."""
+    if type(e) is A.Unary and e.op in ("++", "--"):
+        target, step = e.operand, 1 if e.op == "++" else -1
+    elif (type(e) is A.Assign and e.op in ("+=", "-=")
+          and type(e.value) is A.IntLit):
+        target = e.target
+        step = e.value.value if e.op == "+=" else -e.value.value
+    else:
+        return 0
+    if type(target) is not A.Ident or host.res.map.get(id(target)) is not ind:
+        return 0
+    return step
+
+
+class _LoopEmitter(VecEmitter):
+    """Lowers a grid loop's body into the host function being emitted:
+    the induction variable is the lane array ``_VR.iv``, body locals are
+    lane arrays or uniform values, and every other local is a uniform
+    read (writing one would be loop-carried: bail)."""
+
+    def __init__(self, host: HostEmitter, s: A.For, ind: Symbol,
+                 line: str) -> None:
+        res = host.res
+        for sym in res.symbols:
+            sym.varying = False
+        ind.varying = True
+        analyze_body(s.body, res)
+        super().__init__(host.fn, res, has_live=False)
+        self.host = host
+        self.lines, self.line_of = host.lines, host.line_of
+        self.sites = host.sites
+        self.depth, self.ntmp = host.depth, host.ntmp
+        self.ind = ind
+        self.line = line
+        self.own = {res.map.get(id(d)) for x in _nodes(s.body)
+                    if type(x) is A.DeclStmt for d in x.decls}
+        #: Memory-backed locals the body reads (guarded at finish).
+        self.cells: list[Symbol] = []
+
+    def stmt(self, s: A.Stmt) -> None:
+        # Track the line the interpreter's last iteration leaves in
+        # ``_I._line``: the last statement lane n-1 executed.  (The body
+        # has no ``return``, the one statement VecEmitter.stmt adds.)
+        self._mask_cache = None
+        self.cur_line = s.line
+        m = self.mask()
+        store = f"{self.line} = {s.line}"
+        if m != "None":
+            self.w(f"if ({m})[-1]: {store}")
+        elif self.lines[-1].startswith(
+                "    " * self.depth + self.line + " = "):
+            self.lines[-1] = "    " * self.depth + store
+        else:
+            self.w(store)
+        ScalarEmitter.stmt(self, s)
+
+    def decl(self, s: A.DeclStmt) -> None:
+        for d in s.decls:
+            if self.res.map.get(id(d)) in self.host.cells:
+                self.bail("address-taken loop local")
+            self.w(f"_VR.decl({d.name!r}, {max(1, d.ctype.size)}, "
+                   f"{self.mask()})")
+        super().decl(s)
+
+    def load_sym(self, sym: Symbol) -> str:
+        if sym is self.ind:
+            return "_VR.iv"
+        if sym in self.host.cells:
+            if sym not in self.cells:
+                self.cells.append(sym)
+            t = self.tmp()
+            self.w(f"{t} = C{sym.pyname}.item(0)")
+            return t
+        return sym.pyname
+
+    def _own(self, target) -> None:
+        if type(target) is A.Ident and \
+                self.res.map.get(id(target)) not in self.own:
+            self.bail("loop-carried scalar")
+
+    def e_assign(self, e: A.Assign):
+        self._own(e.target)
+        return super().e_assign(e)
+
+    def e_incdec(self, e: A.Unary):
+        self._own(e.operand)
+        return super().e_incdec(e)
+
+    def e_member(self, e: A.Member):
+        return self.bail("member access in a grid loop")
+
+
+def _host_loop(interp, start, bound, step: int, op: str, key: str, sites):
+    """The :class:`HostLoopRun` for one execution of a grid loop, or
+    ``None`` to run it scalar: another backend or sampling, no
+    iterations, or a trip count the induction type cannot hold."""
+    if (interp.backend not in ("auto", "codegen-vec")
+            or interp.tracer.sample_mode != "off"):
+        return None
+    cmp = _CMPS[op]
+    if not cmp(start, bound):
+        return None
+    d = bound - start
+    if op == "!=":
+        if type(d) is not int or d % step:
+            return None
+        n = d // step
+    elif type(d) is int:
+        n = -(-d // step) if op in ("<", ">") else d // step + 1
+    else:
+        if not math.isfinite(d):
+            return None
+        q = d / step
+        n = math.ceil(q) if op in ("<", ">") else math.floor(q) + 1
+    if not 0 < n <= _MAX_LANES:
+        return None
+    after = start + step * n
+    lo, hi = _INT_KEYS[key]
+    if (not cmp(start + step * (n - 1), bound) or cmp(after, bound)
+            or not lo <= min(start, after) <= max(start, after) <= hi):
+        return None
+    return HostLoopRun(interp, start, step, n, sites)
+
+
+_CMPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+         ">=": operator.ge, "!=": operator.ne}
+
+#: Larger trip counts run scalar (lane arrays would cost real memory).
+_MAX_LANES = 1 << 20
+
+
+# --------------------------------------------------------------------- #
 # memoized compilation and binding
 
 #: (digest, heat_on, program context) -> CompiledKernel or its bail.
-_HOST_CACHE: dict[tuple, CompiledKernel | CodegenBail] = {}
+_HOST_CACHE = LRU()
 
 
 def _context_key(functions: dict[str, A.FunctionDef], global_names) -> tuple:
@@ -349,8 +628,11 @@ def _cellv(interp, name: str, size: int, key: str):
 def _host_globals(interp, ck: CompiledKernel) -> dict:
     # The interpreter itself arrives as the ``_I`` argument: a global
     # would make each interpreter a reference cycle through its memo.
-    g = {"InterpError": InterpError, "max": max, "_cellv": _cellv,
-         "_SITE": partial(SourceSite, interp.source_name)}
+    g = {"InterpError": InterpError, "Exception": Exception, "max": max,
+         "_cellv": _cellv, "_SITE": partial(SourceSite, interp.source_name),
+         "_HLOOP": _host_loop, "_HLN": interp.tracer.note_host_loop,
+         "_SITES": tuple(SourceSite(interp.source_name, line)
+                         for line in ck.sites) if ck.heat_on else None}
     for name in ck.refs:
         g[f"_F_{name}"] = interp.functions[name]
     return g

@@ -38,8 +38,10 @@ from .emitter import (
     kernel_digest,
     resolve_kernel,
 )
+from .memo import LRU
 
-__all__ = ["CompiledVecKernel", "analyze_kernel", "compile_vec"]
+__all__ = ["CompiledVecKernel", "analyze_body", "analyze_kernel",
+           "compile_vec"]
 
 _DIM_BASES = ("threadIdx", "blockIdx", "blockDim", "gridDim")
 _VARYING_DIMS = ("threadIdx", "blockIdx")
@@ -98,8 +100,15 @@ def _expr_varying(res):
 
 
 def analyze_kernel(fn: A.FunctionDef, res) -> bool:
+    """Run the varying-marking fixpoint over a kernel's body (see
+    :func:`analyze_body`)."""
+    return analyze_body(fn.body, res)
+
+
+def analyze_body(body: A.Stmt, res) -> bool:
     """Run the varying-marking fixpoint; returns ``has_live`` (whether the
-    kernel needs a ``_live`` lane mask for masked early returns).
+    code needs a ``_live`` lane mask for masked early returns).  Symbols
+    already marked varying (a host loop's induction variable) seed it.
 
     ``ctx`` counts the *enclosing varying conditions* at each point.  A
     write makes a symbol varying only when its value is varying or the
@@ -231,12 +240,12 @@ def analyze_kernel(fn: A.FunctionDef, res) -> bool:
         state["changed"] = False
         state["live"] = False
         decl_depth.clear()
-        wstmt(fn.body, 0, None, False)
+        wstmt(body, 0, None, False)
         if not state["changed"]:
             break
     state["live"] = False
     decl_depth.clear()
-    wstmt(fn.body, 0, None, True)
+    wstmt(body, 0, None, True)
     return state["live"]
 
 
@@ -765,7 +774,8 @@ class VecEmitter(ScalarEmitter):
 # --------------------------------------------------------------------- #
 # memoized compilation (digest only: sites travel as indices)
 
-_VEC_CACHE: dict[str, CompiledVecKernel | CodegenBail] = {}
+#: digest -> CompiledVecKernel or the CodegenBail that stopped it.
+_VEC_CACHE = LRU()
 
 
 def compile_vec(fn: A.FunctionDef) -> CompiledVecKernel:

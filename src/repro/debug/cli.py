@@ -19,6 +19,7 @@ import sys
 from pathlib import Path
 
 from ..heatmap.ansi import supports_color
+from ..instrument.errors import FrontendError
 from ..memsim import PLATFORMS
 from ..workloads.registry import UnknownNameError, resolve_platform
 from .engine import DebugEngine
@@ -90,8 +91,12 @@ def main(argv: list[str] | None = None) -> int:
     factory = PLATFORMS[preset]
     platform = (factory(gpu_memory_bytes=args.gpu_mem) if args.gpu_mem
                 else factory())
-    engine = DebugEngine(source, source_name=source_name, platform=platform,
-                         nbuckets=args.buckets)
+    try:
+        engine = DebugEngine(source, source_name=source_name,
+                             platform=platform, nbuckets=args.buckets)
+    except FrontendError as exc:
+        print(f"repro-debug: {source_name}: {exc}", file=sys.stderr)
+        return 2
     engine.entry = args.entry
 
     script = _load_script(args.script) if args.script else None

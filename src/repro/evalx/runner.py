@@ -105,7 +105,7 @@ def main(argv: list[str] | None = None) -> int:
                              "(fig9, fig11): capture both variants with "
                              "causal provenance and write DIR/<id>/"
                              "why_diff.json plus the diff summary")
-    from ..codegen import BACKENDS
+    from ..backends import BACKENDS
     parser.add_argument("--backend", default="auto", choices=BACKENDS,
                         help="execution backend for any mini-CUDA program "
                              "an experiment interprets: auto (default) "
@@ -127,6 +127,12 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     if args.report and args.telemetry_dir is None:
         parser.exit(2, f"{parser.prog}: --report requires --telemetry-dir\n")
+    try:
+        for out in (args.telemetry_dir, args.csv):
+            if out is not None:
+                Path(out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        parser.exit(2, f"{parser.prog}: {exc}\n")
 
     from ..codegen import default_backend, set_default_backend
     prev_backend = default_backend()

@@ -196,7 +196,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         preset = resolve_platform(args.platform)
         runner_for(args.workload)
-    except UnknownNameError as exc:
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+    except (UnknownNameError, OSError) as exc:
         print(f"repro-report: {exc}", file=sys.stderr)
         return 2
 

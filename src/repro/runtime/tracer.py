@@ -174,6 +174,10 @@ class Tracer(ObserverBase):
         #: Host functions by the tier that runs them; ``interp`` entries
         #: are host fallbacks (a static bail, or a tracer subclass).
         self.host_functions: dict[str, int] = {}
+        #: Host loop executions in compiled host code by the tier that ran
+        #: them: ``codegen-vec`` (one lane per iteration, see
+        #: :mod:`repro.codegen.host`) or ``codegen`` (the scalar loop).
+        self.host_loops: dict[str, int] = {}
 
     # ------------------------------------------------------------------ #
     # wiring
@@ -284,7 +288,7 @@ class Tracer(ObserverBase):
         The interpreter's :class:`~repro.runtime.batch.TraceBatcher`
         tallies *post-merge interval widths*, not trace calls, so a
         vectorized launch computes the identical figure up front
-        (:meth:`repro.codegen.gridexec.VecRun._batcher_seen`) and books
+        (:meth:`repro.codegen.gridexec.VecRun._replay`) and books
         it here in one step.
         """
         self._epoch_seen += n
@@ -303,15 +307,19 @@ class Tracer(ObserverBase):
         """Record which tier runs one host function (once per function)."""
         self.host_functions[used] = self.host_functions.get(used, 0) + 1
 
+    def note_host_loop(self, used: str) -> None:
+        """Record which tier ran one execution of a compiled host loop."""
+        self.host_loops[used] = self.host_loops.get(used, 0) + 1
+
     def backend_info(self) -> dict | None:
         """Backend attribution for report/JSONL headers, or ``None``.
 
         ``None`` when running the plain interpreter (the historical
         default, so existing artifacts are byte-identical); otherwise the
         requested backend, per-backend launch counts, the total number of
-        per-launch fallbacks, host functions by tier (``host``), and the
-        vectorized launches that reused their kernel's previous launch
-        geometry (``reused``).
+        per-launch fallbacks, host functions by tier (``host``), host loop
+        executions by tier (``host_loops``), and the vectorized launches
+        that reused their kernel's previous launch geometry (``reused``).
         """
         if self.backend == "interp":
             return None
@@ -322,6 +330,8 @@ class Tracer(ObserverBase):
             "fallbacks": self.backend_fallbacks,
             "host": {k: self.host_functions[k]
                      for k in sorted(self.host_functions)},
+            "host_loops": {k: self.host_loops[k]
+                           for k in sorted(self.host_loops)},
             "reused": self.backend_reused,
         }
 

@@ -118,7 +118,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="workload to replay (default: pathfinder; "
                              "see --list); mc-* names run interpreted "
                              "mini-CUDA programs")
-    from ..codegen import BACKENDS
+    from ..backends import BACKENDS
     parser.add_argument("--backend", default="auto", choices=BACKENDS,
                         help="execution backend for mc-* workloads: auto "
                              "(default) vectorizes when provable, falling "

@@ -137,7 +137,8 @@ def test_repeat_launches_reuse_their_geometry():
                      backend="codegen-vec", source_name="mc-lulesh.cu")
     assert it.tracer.backend_info() == {
         "backend": "codegen-vec", "launches": {"codegen-vec": 24},
-        "fallbacks": 0, "host": {"codegen": 1}, "reused": 22}
+        "fallbacks": 0, "host": {"codegen": 1},
+        "host_loops": {"codegen": 2, "codegen-vec": 1}, "reused": 22}
 
 
 def test_signature_vectors_identical_to_interp_reference():

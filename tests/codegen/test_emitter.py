@@ -94,6 +94,29 @@ int main() { return 0; }
             compile_scalar(fn, heat_on=False)
         assert second.value is first.value  # one analysis, not one per launch
 
+    def test_evicted_entries_recompile_to_identical_code(self):
+        """The codegen memos are bounded LRUs counting hits, misses and
+        evictions; an evicted lowering compiles again, to the same
+        source."""
+        from repro.codegen import host, vectorize
+
+        fn = _kernel(SAXPY, "saxpy")
+        first = compile_scalar(fn, heat_on=False)
+        hits = _SCALAR_CACHE.hits
+        assert compile_scalar(fn, heat_on=False) is first
+        assert _SCALAR_CACHE.hits == hits + 1
+        evictions = _SCALAR_CACHE.evictions
+        for i in range(_SCALAR_CACHE.maxsize):
+            _SCALAR_CACHE[("filler", i)] = None
+        assert (kernel_digest(fn), False) not in _SCALAR_CACHE
+        assert _SCALAR_CACHE.evictions > evictions
+        misses = _SCALAR_CACHE.misses
+        again = compile_scalar(fn, heat_on=False)
+        assert _SCALAR_CACHE.misses == misses + 1
+        assert again is not first and again.source == first.source
+        for memo in (_SCALAR_CACHE, vectorize._VEC_CACHE, host._HOST_CACHE):
+            assert len(memo) <= memo.maxsize
+
     @pytest.mark.parametrize("backend", ["codegen", "codegen-vec", "auto"])
     def test_each_function_is_digested_once_per_interpreter(
             self, backend, monkeypatch):
@@ -152,7 +175,8 @@ class TestScalarOracle:
                 == _describe_no_backend(it_b.tracer))
         assert it_b.tracer.backend_info() == {
             "backend": "codegen", "launches": {"codegen": 2}, "fallbacks": 0,
-            "host": {"codegen": 1}, "reused": 0}
+            "host": {"codegen": 1}, "host_loops": {"codegen": 2},
+            "reused": 0}
 
     def test_runtime_errors_match_interp(self):
         src = HEADER + """

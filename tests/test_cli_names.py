@@ -49,3 +49,38 @@ def test_debugger_unknown_platform_is_one_line_exit_2(capsys):
     err = _one_line_error("repro.debug.cli",
                           [EXAMPLE, "--platform", "vax"], capsys)
     assert err.startswith("repro-debug: unknown platform 'vax'; known: ")
+
+
+OUT_IS_A_FILE = [
+    ("repro.heatmap.cli", "repro-report", ["--workload", "pathfinder",
+                                           "--out"]),
+    ("repro.causes.cli", "repro-why run", ["run", "--workload",
+                                           "pathfinder", "--out"]),
+    ("repro.stream.cli", "repro-agg run", ["run", "--workload",
+                                           "pathfinder", "--out"]),
+    ("repro.evalx.runner", "xplacer-eval", ["fig7", "--report",
+                                            "--telemetry-dir"]),
+    ("repro.debug.cli", "repro-debug", []),
+]
+
+
+@pytest.mark.parametrize("module,prog,argv", OUT_IS_A_FILE,
+                         ids=[c[1] for c in OUT_IS_A_FILE])
+def test_bad_path_or_source_is_one_line_exit_2(module, prog, argv,
+                                               tmp_path, capsys):
+    """An output path that is a regular file, or a source file the lexer
+    rejects, is one located stderr line and exit 2, not a traceback."""
+    bad = tmp_path / "bad.cu"
+    bad.write_text("int main() { int x = 1; @ }\n")
+    try:
+        rc = importlib.import_module(module).main([*argv, str(bad)])
+    except SystemExit as exc:
+        rc = exc.code
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1, err
+    assert err.startswith(f"{prog}: ")
+    if argv:
+        assert "File exists" in err and str(bad) in err
+    else:
+        assert err == f"{prog}: bad.cu: unexpected character '@' at 1:25\n"

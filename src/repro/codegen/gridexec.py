@@ -48,6 +48,40 @@ class VecBail(Exception):
 _READ, _WRITE, _RMW = 0, 1, 2
 
 
+def _merged_chain(lo, hi) -> tuple[int, int]:
+    """The batcher's last read/write interval over ``[lo, hi)`` events in
+    order (merging on overlap or touch)."""
+    run_lo = np.minimum.accumulate(lo)
+    run_hi = np.maximum.accumulate(hi)
+    if ((lo[1:] <= run_hi[:-1]) & (hi[1:] >= run_lo[:-1])).all():
+        return int(run_lo[-1]), int(run_hi[-1])
+    cur_lo, cur_hi = int(lo[0]), int(hi[0])
+    for s, e in zip(lo[1:].tolist(), hi[1:].tolist()):
+        if s <= cur_hi and e >= cur_lo:
+            cur_lo, cur_hi = min(cur_lo, s), max(cur_hi, e)
+        else:
+            cur_lo, cur_hi = s, e
+    return cur_lo, cur_hi
+
+
+def _rmw_chain(lo, hi) -> tuple[int, int, int]:
+    """``(first event, lo, hi)`` of the batcher's last RMW interval over
+    ``[lo, hi)`` events in order (merging only by extension)."""
+    if (lo[1:] == hi[:-1]).all():
+        return 0, int(lo[0]), int(hi[-1])
+    if (hi[1:] == lo[:-1]).all():
+        return 0, int(lo[-1]), int(hi[0])
+    first, cur_lo, cur_hi = 0, int(lo[0]), int(hi[0])
+    for i, (s, e) in enumerate(zip(lo[1:].tolist(), hi[1:].tolist()), 1):
+        if s == cur_hi:
+            cur_hi = e
+        elif e == cur_lo:
+            cur_lo = s
+        else:
+            first, cur_lo, cur_hi = i, s, e
+    return first, cur_lo, cur_hi
+
+
 class _Res:
     """One resolved (per-launch) heap access: lanes -> elements/words."""
 
@@ -472,10 +506,16 @@ class VecRun:
           intervals merge only by extension, so their widths always sum
           to the same total.
         * ``final`` is the interval the batcher holds after the last
-          lane, ``(plan index, lo, hi)`` of a read or write chain, or
-          ``None`` (an RMW chain counts the same merged or not).  The
-          caller leaves it pending, so it merges with the next access
-          exactly as it would have; ``seen`` includes its width.
+          lane, ``(plan index, lo, hi, keep, absorbed)``.  The caller
+          leaves it pending, so it merges with the next access exactly
+          as it would have; ``seen`` includes its width.  A read or
+          write chain is idempotent, so the run also applies it
+          (``keep`` is ``None``).  An RMW chain is not (a second RMW
+          reads the first one's write), so ``keep`` maps traced plan
+          indices to their words outside the chain, the only ones the
+          run applies; the batcher applies the chain when it flushes.
+          ``absorbed`` says the chain took over the pending interval
+          that seeded it.
 
         ``present`` flags, per plan, a traced access to a shadowed
         allocation (only those reach the batcher).
@@ -555,12 +595,11 @@ class VecRun:
         seen = int(counts.sum())
         last = int(act[-1])
         kf = int(pkey[last])
-        if kinds[kf] == _RMW:
-            return seen, None, seeded
         final = self._final_chain(traced, keys, kf, act, pkey, runs > 0,
-                                  run0, pending if seeded else None)
+                                  run0, pending if seeded else None,
+                                  kinds[kf] == _RMW)
         if final is None:
-            final = (int(plo[last]), int(phi[last]))
+            final = (int(plo[last]), int(phi[last]), None, False)
         return seen, (plan_of[kf],) + final, seeded
 
     def _disjoint(self, chains, act, runs, join, touch) -> bool:
@@ -590,10 +629,10 @@ class VecRun:
         return not (same & (lo[1:] < hi[:-1])).any()
 
     def _final_chain(self, traced, keys, kf, act, pkey, mixed, run0,
-                     pending):
-        """``(lo, hi)`` of the batcher's final read/write chain when it may
-        have grown across lanes, else ``None`` (the last lane's own
-        chain is exact).
+                     pending, rmw):
+        """``(lo, hi, keep, absorbed)`` of the batcher's final chain (see
+        :meth:`_replay`), or ``None`` for a read/write chain that cannot
+        have grown across lanes (the last lane's own chain is exact).
 
         The chain lies in the run of same-key events ending the launch:
         the last run of the last lane whose key changed (or which ends
@@ -601,10 +640,13 @@ class VecRun:
         exactly those events, in lane order.
         """
         ok = (~mixed[act]) & (pkey[act] == kf)
-        if not ok[-1]:
-            return None
         bad = np.nonzero(~ok)[0]
-        if bad.size == 0:
+        if not ok[-1]:
+            if not rmw:
+                return None
+            lane_s, t_s = int(act[-1]), int(run0[act[-1]])
+            pending = None
+        elif bad.size == 0:
             lane_s, t_s = int(act[0]), 0
         elif pkey[act[bad[-1]]] == kf:
             lane_s, t_s = int(act[bad[-1]]), int(run0[act[bad[-1]]])
@@ -612,9 +654,9 @@ class VecRun:
         else:
             lane_s, t_s = int(act[bad[-1] + 1]), 0
             pending = None
-        if lane_s == int(act[-1]) and pending is None:
+        if lane_s == int(act[-1]) and pending is None and not rmw:
             return None
-        lanes, order, lo, hi = [], [], [], []
+        lanes, order, event, lo, hi = [], [], [], [], []
         for t, p in enumerate(traced):
             if keys[(id(p.alloc), p.kind)] != kf:
                 continue
@@ -623,6 +665,7 @@ class VecRun:
             sel = (p.lane0 > lane_s) | ((p.lane0 == lane_s) & (t >= t_s))
             lanes.append(p.lane0[sel])
             order.append(np.full(int(sel.sum()), t, dtype=np.int64))
+            event.append(np.nonzero(sel)[0])
             lo.append(starts[sel])
             hi.append(starts[sel] + width)
         idx = np.lexsort((np.concatenate(order), np.concatenate(lanes)))
@@ -631,17 +674,21 @@ class VecRun:
         if pending is not None:
             lo = np.concatenate(([pending[3]], lo))
             hi = np.concatenate(([pending[4]], hi))
-        run_lo = np.minimum.accumulate(lo)
-        run_hi = np.maximum.accumulate(hi)
-        if ((lo[1:] <= run_hi[:-1]) & (hi[1:] >= run_lo[:-1])).all():
-            return int(run_lo[-1]), int(run_hi[-1])
-        cur_lo, cur_hi = int(lo[0]), int(hi[0])
-        for s, e in zip(lo[1:].tolist(), hi[1:].tolist()):
-            if s <= cur_hi and e >= cur_lo:
-                cur_lo, cur_hi = min(cur_lo, s), max(cur_hi, e)
-            else:
-                cur_lo, cur_hi = s, e
-        return cur_lo, cur_hi
+        if not rmw:
+            return _merged_chain(lo, hi) + (None, False)
+        first, cur_lo, cur_hi = _rmw_chain(lo, hi)
+        skip = 0 if pending is None else 1
+        chain = idx[max(first - skip, 0):]
+        order = np.concatenate(order)[chain]
+        event = np.concatenate(event)[chain]
+        keep = {}
+        for t in np.unique(order).tolist():
+            p = traced[t]
+            width = p.size // 4 if p.size > 4 else 1
+            mask = np.ones(p.lane0.size, dtype=bool)
+            mask[event[order == t]] = False
+            keep[t] = p.words[mask if width == 1 else np.repeat(mask, width)]
+        return cur_lo, cur_hi, keep, skip == 1 and first == 0
 
     def finish(self) -> None:
         """Validate the launch, then apply batched shadow/heat updates.
@@ -651,9 +698,9 @@ class VecRun:
         passed it on the same plans) and, under the same shadow
         presence and an empty batcher, books the recorded
         :meth:`_replay` result.  The batcher's pending interval is
-        flushed only when the run traces anything, and the run's own
-        final read/write chain is left pending, as the interpreter
-        leaves it.
+        flushed only when the run traces anything (unless the run's
+        final RMW chain took it over), and the run's own final chain is
+        left pending, as the interpreter leaves it.
         """
         if self._finished:
             return
@@ -690,16 +737,22 @@ class VecRun:
         seen, final, seeded = replay
         if not seeded:
             self._seen = (seen, final)
-        tracer.flush_trace()
-        if seeded:
-            seen -= pending[4] - pending[3]
+        keep = final[3] if final else None
+        if final and final[4]:
+            batcher.block = None  # now part of the final chain
+        else:
+            tracer.flush_trace()
+            if seeded:
+                seen -= pending[4] - pending[3]
         proc = tracer.current_proc
         heat = tracer.heat
         sites = self.sites
-        for p, block in zip(self.plans, blocks):
-            if block is None:
-                continue
-            tracer._apply_words(block, proc, p.kind, p.words, count=0)
+        traced = [(p, block) for p, block in zip(self.plans, blocks)
+                  if block is not None]
+        for t, (p, block) in enumerate(traced):
+            words = keep.get(t, p.words) if keep else p.words
+            if words.size:
+                tracer._apply_words(block, proc, p.kind, words, count=0)
             if heat is not None:
                 site = (sites[p.site_i]
                         if p.site_i is not None and sites else None)
@@ -709,9 +762,9 @@ class VecRun:
                 if p.kind != _READ:
                     heat.record(p.alloc, proc, is_write=True,
                                 idx=p.words, site=site, n=p.count)
-        if final is not None:
-            t, lo, hi = final
-            plan = [p for p, on in zip(self.plans, present) if on][t]
+        if final:
+            t, lo, hi = final[:3]
+            plan = traced[t][0]
             seen -= hi - lo
             batcher.block = smt.lookup(plan.alloc.base)
             batcher.proc = proc

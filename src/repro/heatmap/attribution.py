@@ -19,6 +19,7 @@ from __future__ import annotations
 import sys
 from types import FrameType
 
+from ..memo import LRU
 from .store import SourceSite
 
 __all__ = ["caller_site", "site_from_frame", "SKIP_MODULES"]
@@ -42,15 +43,11 @@ def _shorten(path: str) -> str:
     return "/".join(parts[-2:]) if len(parts) > 1 else path
 
 
-#: Per-code-object "belongs to a skipped module" memo.  A workload loop
-#: walks the same frames millions of times; the module-name prefix test
-#: only needs to run once per code object.  Only populated for the default
-#: skip list (custom lists fall back to the direct test).
-_SKIP_CACHE: dict = {}
-
 #: (code, line) -> SourceSite memo; sites repeat for every access a given
 #: source line makes, so construction and path shortening run once.
-_SITE_CACHE: dict = {}
+#: Bounded: a long session that generates code objects evicts the
+#: coldest sites.
+_SITE_CACHE = LRU(4096)
 
 
 def site_from_frame(frame: FrameType) -> SourceSite:
@@ -73,19 +70,12 @@ def caller_site(skip: tuple[str, ...] = SKIP_MODULES,
     itself).
     """
     frame: FrameType | None = sys._getframe(1)
-    cache = _SKIP_CACHE if skip is SKIP_MODULES else None
     for _ in range(max_depth):
         if frame is None:
             return None
-        if cache is not None:
-            skipped = cache.get(frame.f_code)
-            if skipped is None:
-                mod = frame.f_globals.get("__name__", "")
-                skipped = cache[frame.f_code] = mod.startswith(skip)
-        else:
-            mod = frame.f_globals.get("__name__", "")
-            skipped = mod.startswith(skip)
-        if not skipped:
+        # Two C calls per frame: as cheap as a memo lookup keyed by code
+        # object, and nothing to grow.
+        if not frame.f_globals.get("__name__", "").startswith(skip):
             return site_from_frame(frame)
         frame = frame.f_back
     return None

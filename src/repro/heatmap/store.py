@@ -351,13 +351,20 @@ class HeatStore:
         self.track(alloc).add(_channel(proc, is_write), lo, hi, idx, site)
 
     def advance_epoch(self, closed_epoch: int) -> None:
-        """Freeze every open accumulator as epoch ``closed_epoch``."""
+        """Freeze every open accumulator as epoch ``closed_epoch``, hand
+        each snapshot to the listeners, then to :meth:`_frozen`."""
+        listeners = tuple(self.epoch_listeners)
         for heat in self._allocs.values():
             snap = heat.freeze(closed_epoch)
-            if snap is not None and self.epoch_listeners:
-                for listener in tuple(self.epoch_listeners):
+            if snap is not None:
+                for listener in listeners:
                     listener(heat, snap)
+                self._frozen(heat, snap)
         self.epochs_closed.append(closed_epoch)
+
+    def _frozen(self, heat: AllocationHeat, snap: EpochHeat) -> None:
+        """What becomes of a snapshot once the listeners saw it: an
+        in-memory store keeps it (``heat.epochs`` already holds it)."""
 
     def flush_current(self) -> None:
         """Freeze residual heat that never saw a diagnostic reset."""

@@ -12,12 +12,6 @@ from .diagnostics import (
     DiagnosticResult,
     trace_print,
 )
-from .export import (
-    access_maps_to_svg,
-    epochs_to_csv,
-    kernels_to_csv,
-    transfers_to_csv,
-)
 from .flags import WORD_SIZE
 from .report import format_csv, format_text
 from .shadow import AccessCounts, ShadowBlock
@@ -34,10 +28,6 @@ __all__ = [
     "DiagnosticResult",
     "trace_print",
     "WORD_SIZE",
-    "access_maps_to_svg",
-    "epochs_to_csv",
-    "kernels_to_csv",
-    "transfers_to_csv",
     "format_csv",
     "format_text",
     "AccessCounts",

@@ -12,13 +12,17 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import IO, Sequence
+
+import numpy as np
 
 from ..memsim import Allocation, MemoryKind
 
 from .access_map import AccessMap
 from .alloc_data import XplAllocData
-from .shadow import AccessCounts, ShadowBlock
+from .shadow import (CATEGORIES, AccessCounts, ShadowBlock, category_rows,
+                     tally)
 from .tracer import Tracer
 
 __all__ = ["AllocationReport", "DiagnosticResult", "trace_print"]
@@ -70,54 +74,49 @@ class DiagnosticResult:
         raise KeyError(name)
 
 
-def _scale_counts(counts: AccessCounts, alternating: int,
-                  sample: int) -> tuple[AccessCounts, int]:
-    """Scale sampled counters back up (``Tracer(sample=N)`` estimates).
+def _report_blocks(picked: Sequence[tuple[ShadowBlock, str]], *,
+                   include_maps: bool, heat=None,
+                   sample: int = 1) -> list[AllocationReport]:
+    """One :class:`AllocationReport` per ``(block, name)`` pair.
 
-    Each recorded word stands for ~``sample`` words, so every counter is
-    multiplied by the sampling factor and clamped to the block size.
+    Every block's Fig 4 counters, alternating words and (with
+    ``include_maps``) category masks come from one pass over the
+    concatenated shadows (:func:`~repro.runtime.shadow.tally`).  Under
+    ``Tracer(sample=N)`` each recorded word stands for ~N words, so the
+    counters are scaled by N and clamped to the block size.
     """
-    total = counts.total_words
-    scale = lambda n: min(total, n * sample)  # noqa: E731
-    return AccessCounts(
-        cpu_written=scale(counts.cpu_written),
-        gpu_written=scale(counts.gpu_written),
-        read_cc=scale(counts.read_cc),
-        read_cg=scale(counts.read_cg),
-        read_gc=scale(counts.read_gc),
-        read_gg=scale(counts.read_gg),
-        accessed_words=scale(counts.accessed_words),
-        total_words=total,
-    ), scale(alternating)
-
-
-def _report_block(block: ShadowBlock, name: str, *, include_maps: bool,
-                  heat=None, sample: int = 1) -> AllocationReport:
-    maps: dict[str, AccessMap] = {}
-    if include_maps:
-        maps = {
-            cat: AccessMap(name, cat, mask)
-            for cat, mask in block.category_masks().items()
-        }
-    hot_sites: tuple[tuple[str, int], ...] = ()
-    if heat is not None:
-        alloc_heat = heat.peek(block.alloc)
-        if alloc_heat is not None:
-            hot_sites = tuple((site.label, n) for site, n
-                              in alloc_heat.current_top_sites(3))
-    counts = block.counts()
-    alternating = block.alternating_words()
+    if not picked:
+        return []
+    shadows = [block.shadow for block, _ in picked]
+    edges = [0, *accumulate(map(len, shadows))]
+    flat = np.concatenate(shadows)
+    counts = tally(flat, edges)
     if sample > 1:
-        counts, alternating = _scale_counts(counts, alternating, sample)
-    return AllocationReport(
-        name=name,
-        alloc=block.alloc,
-        counts=counts,
-        alternating=alternating,
-        freed=block.freed_epoch is not None,
-        maps=maps,
-        hot_sites=hot_sites,
-    )
+        counts = np.minimum(counts * sample, np.diff(edges)[:, None])
+    masks = category_rows(flat) if include_maps else None
+    reports = []
+    for i, ((block, name), row) in enumerate(zip(picked, counts.tolist())):
+        lo, hi = edges[i], edges[i + 1]
+        maps: dict[str, AccessMap] = {}
+        if masks is not None:
+            maps = {cat: AccessMap(name, cat, masks[c, lo:hi])
+                    for c, cat in enumerate(CATEGORIES)}
+        hot_sites: tuple[tuple[str, int], ...] = ()
+        if heat is not None:
+            alloc_heat = heat.peek(block.alloc)
+            if alloc_heat is not None:
+                hot_sites = tuple((site.label, n) for site, n
+                                  in alloc_heat.current_top_sites(3))
+        reports.append(AllocationReport(
+            name=name,
+            alloc=block.alloc,
+            counts=AccessCounts(*row[:7], total_words=hi - lo),
+            alternating=row[7],
+            freed=block.freed_epoch is not None,
+            maps=maps,
+            hot_sites=hot_sites,
+        ))
+    return reports
 
 
 def trace_print(
@@ -148,7 +147,7 @@ def trace_print(
     blocks = tracer.smt.live_and_dead()
     by_base = {b.alloc.base: b for b in blocks}
 
-    reports: list[AllocationReport] = []
+    picked: list[tuple[ShadowBlock, str]] = []
     claimed: set[int] = set()
     if descriptors is not None:
         for desc in descriptors:
@@ -157,20 +156,16 @@ def trace_print(
                 block = tracer.smt.lookup(desc.addr)
             if block is None:
                 continue
-            reports.append(_report_block(block, desc.name,
-                                         include_maps=include_maps,
-                                         heat=tracer.heat,
-                                         sample=tracer.sample))
+            picked.append((block, desc.name))
             claimed.add(block.alloc.base)
     if descriptors is None or include_unnamed:
         for block in blocks:
             if block.alloc.base in claimed:
                 continue
             label = block.alloc.label or f"alloc@{block.alloc.base:#x}"
-            reports.append(_report_block(block, label,
-                                         include_maps=include_maps,
-                                         heat=tracer.heat,
-                                         sample=tracer.sample))
+            picked.append((block, label))
+    reports = _report_blocks(picked, include_maps=include_maps,
+                             heat=tracer.heat, sample=tracer.sample)
 
     result = DiagnosticResult(epoch=tracer.epoch, reports=reports)
     for hook in tuple(tracer.diagnostic_hooks):

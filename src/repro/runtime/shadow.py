@@ -17,12 +17,80 @@ import numpy as np
 from ..memsim import Allocation, Processor
 from . import flags as F
 
-__all__ = ["ShadowBlock", "AccessCounts", "nwords_for"]
+__all__ = ["ShadowBlock", "AccessCounts", "CATEGORIES", "nwords_for",
+           "tally", "category_rows"]
 
 
 def nwords_for(size: int) -> int:
     """Traced 32-bit words covering ``size`` payload bytes (ceil division)."""
     return -(-size // F.WORD_SIZE)
+
+
+#: Access-map categories (:meth:`ShadowBlock.category_masks` keys, in
+#: order) and the shadow bits each one tests.
+CATEGORIES = {
+    "cpu_write": F.CPU_WROTE,
+    "gpu_write": F.GPU_WROTE,
+    "cpu_read": F.READ_CC | F.READ_GC,
+    "gpu_read": F.READ_CG | F.READ_GG,
+    "gpu_read_cpu_origin": F.READ_CG,
+    "gpu_read_gpu_origin": F.READ_GG,
+    "cpu_read_gpu_origin": F.READ_GC,
+    "accessed": F.EPOCH_MASK,
+}
+_CATEGORY_BITS = np.array(list(CATEGORIES.values()), np.uint8)[:, None]
+
+
+def _bit_table() -> np.ndarray:
+    """``(256, 8)`` 0/1 table: does a word whose shadow byte is ``v`` add to
+    each :class:`AccessCounts` counter (first seven columns, in field
+    order) and to the alternating-word count (last column)?"""
+    v = np.arange(256, dtype=np.uint8)
+    hit = lambda bits: (v & bits) != 0  # noqa: E731
+    cols = [hit(b) for b in (F.CPU_WROTE, F.GPU_WROTE, F.READ_CC, F.READ_CG,
+                             F.READ_GC, F.READ_GG, F.EPOCH_MASK)]
+    cols.append(hit(F.CPU_WROTE | F.READ_CC | F.READ_GC)
+                & hit(F.GPU_WROTE | F.READ_CG | F.READ_GG)
+                & hit(F.CPU_WROTE | F.GPU_WROTE))
+    return np.stack(cols, axis=1).astype(np.int64)
+
+
+_TABLE = _bit_table()
+
+#: Clears the last-writer bit (a CPU write makes the origin CPU).
+_CLEAR_LAST = np.uint8(~F.LAST_WRITE_GPU & 0xFF)
+
+#: Shadow words widened to histogram keys at a time (bounds the int64
+#: temporary however large the allocations are).
+_CHUNK = 1 << 16
+
+
+def tally(flat: np.ndarray, bounds) -> np.ndarray:
+    """Fig 4 counters of several shadows at once.
+
+    ``flat`` is the concatenation of ``k`` shadow arrays and ``bounds``
+    their ``k + 1`` offsets into it.  Returns a ``(k, 8)`` int64 array:
+    per shadow, the seven :class:`AccessCounts` counters in field order,
+    then the alternating-word count.  One ``bincount`` builds a
+    ``(k, 256)`` histogram of shadow byte values, and one matmul with the
+    bit table turns it into counters.
+    """
+    bounds = np.asarray(bounds, np.int64)
+    k = len(bounds) - 1
+    lo, hi = bounds[:-1], bounds[1:]
+    owner = np.arange(0, 256 * k, 256, dtype=np.int64)
+    hist = np.zeros(256 * k, np.int64)
+    for a in range(0, len(flat), _CHUNK):
+        b = a + _CHUNK
+        n = np.minimum(hi, b) - np.maximum(lo, a)
+        keys = np.repeat(owner, np.maximum(n, 0)) + flat[a:b]
+        hist += np.bincount(keys, minlength=256 * k)
+    return hist.reshape(k, 256) @ _TABLE
+
+
+def category_rows(flat: np.ndarray) -> np.ndarray:
+    """``(8, len(flat))`` bool: one row per :data:`CATEGORIES` entry."""
+    return (flat & _CATEGORY_BITS) != 0
 
 
 @dataclass(frozen=True)
@@ -109,36 +177,31 @@ class ShadowBlock:
         the sampled shadow mode (``Tracer(sample=N)``); diagnostics scale
         the resulting counts back up.
         """
-        wbit = F.write_bit(proc)
-        target = self.shadow[lo:hi:step] if idx is None else self.shadow
+        gpu = proc is Processor.GPU
+        bits = F.GPU_WROTE | F.LAST_WRITE_GPU if gpu else F.CPU_WROTE
         if idx is None:
-            target |= wbit
-            if proc is Processor.GPU:
-                target |= F.LAST_WRITE_GPU
-            else:
-                target &= np.uint8(~F.LAST_WRITE_GPU & 0xFF)
+            target = self.shadow[lo:hi:step]
+            target |= bits
+            if not gpu:
+                target &= _CLEAR_LAST
         else:
-            self.shadow[idx] |= wbit
-            if proc is Processor.GPU:
-                self.shadow[idx] |= F.LAST_WRITE_GPU
-            else:
-                self.shadow[idx] &= np.uint8(~F.LAST_WRITE_GPU & 0xFF)
+            words = self.shadow[idx] | bits
+            if not gpu:
+                words &= _CLEAR_LAST
+            self.shadow[idx] = words
 
     def record_read(self, proc: Processor, lo: int, hi: int,
                     idx: np.ndarray | None = None, step: int = 1) -> None:
-        """Mark words read by ``proc``, classified by value origin."""
-        if idx is None:
-            window = self.shadow[lo:hi:step]
-            origin_gpu = (window & F.LAST_WRITE_GPU) != 0
-            gpu_origin_bit = F.read_bit_for(proc, True)
-            cpu_origin_bit = F.read_bit_for(proc, False)
-            window[origin_gpu] |= gpu_origin_bit
-            window[~origin_gpu] |= cpu_origin_bit
-        else:
-            window = self.shadow[idx]
-            origin_gpu = (window & F.LAST_WRITE_GPU) != 0
-            window[origin_gpu] |= F.read_bit_for(proc, True)
-            window[~origin_gpu] |= F.read_bit_for(proc, False)
+        """Mark words read by ``proc``, classified by value origin.
+
+        A GPU-origin read bit is the CPU-origin one shifted left by two,
+        and ``(word & LAST_WRITE_GPU) >> 1`` is that shift (2 or 0) per
+        word.
+        """
+        bit = F.read_bit_for(proc, False)
+        window = self.shadow[lo:hi:step] if idx is None else self.shadow[idx]
+        window |= bit << ((window & F.LAST_WRITE_GPU) >> 1)
+        if idx is not None:
             self.shadow[idx] = window
 
     def record_rmw(self, proc: Processor, lo: int, hi: int,
@@ -153,49 +216,17 @@ class ShadowBlock:
 
     def counts(self) -> AccessCounts:
         """Aggregate Fig 4-style counters for the current epoch."""
-        s = self.shadow
-        accessed = (s & F.EPOCH_MASK) != 0
-        return AccessCounts(
-            cpu_written=int(((s & F.CPU_WROTE) != 0).sum()),
-            gpu_written=int(((s & F.GPU_WROTE) != 0).sum()),
-            read_cc=int(((s & F.READ_CC) != 0).sum()),
-            read_cg=int(((s & F.READ_CG) != 0).sum()),
-            read_gc=int(((s & F.READ_GC) != 0).sum()),
-            read_gg=int(((s & F.READ_GG) != 0).sum()),
-            accessed_words=int(accessed.sum()),
-            total_words=self.nwords,
-        )
-
-    def cpu_accessed(self) -> np.ndarray:
-        """Mask of words the CPU touched this epoch."""
-        return (self.shadow & (F.CPU_WROTE | F.READ_CC | F.READ_GC)) != 0
-
-    def gpu_accessed(self) -> np.ndarray:
-        """Mask of words the GPU touched this epoch."""
-        return (self.shadow & (F.GPU_WROTE | F.READ_CG | F.READ_GG)) != 0
-
-    def written(self) -> np.ndarray:
-        """Mask of words written this epoch (by either processor)."""
-        return (self.shadow & (F.CPU_WROTE | F.GPU_WROTE)) != 0
+        row = tally(self.shadow, (0, self.nwords))[0].tolist()
+        return AccessCounts(*row[:7], total_words=self.nwords)
 
     def alternating_words(self) -> int:
         """Words accessed by *both* processors with at least one write --
         the paper's alternating-access criterion."""
-        return int((self.cpu_accessed() & self.gpu_accessed() & self.written()).sum())
+        return int(tally(self.shadow, (0, self.nwords))[0, 7])
 
     def category_masks(self) -> dict[str, np.ndarray]:
         """Per-word boolean masks for access-map figures (Fig 5/7/8/10)."""
-        s = self.shadow
-        return {
-            "cpu_write": (s & F.CPU_WROTE) != 0,
-            "gpu_write": (s & F.GPU_WROTE) != 0,
-            "cpu_read": (s & (F.READ_CC | F.READ_GC)) != 0,
-            "gpu_read": (s & (F.READ_CG | F.READ_GG)) != 0,
-            "gpu_read_cpu_origin": (s & F.READ_CG) != 0,
-            "gpu_read_gpu_origin": (s & F.READ_GG) != 0,
-            "cpu_read_gpu_origin": (s & F.READ_GC) != 0,
-            "accessed": (s & F.EPOCH_MASK) != 0,
-        }
+        return dict(zip(CATEGORIES, category_rows(self.shadow)))
 
     def reset(self) -> None:
         """Epoch reset: clear access bits, keep the last-writer bit."""

@@ -30,6 +30,7 @@ compare identically to signatures built from live stores.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Mapping
@@ -38,6 +39,7 @@ import numpy as np
 
 from ..heatmap.store import CHANNELS, AllocationHeat, EpochHeat, HeatStore
 from ..jsonfmt import dumps
+from ..memo import LRU
 
 __all__ = [
     "FEATURE_VERSION",
@@ -78,57 +80,63 @@ FEATURE_NAMES: tuple[str, ...] = (
 N_FEATURES = len(FEATURE_NAMES)
 
 
-def _coarsen(vec: np.ndarray, n: int = N_COARSE) -> np.ndarray:
-    """Fold a bucket vector to ``n`` coarse buckets (sum-preserving)."""
-    vec = np.asarray(vec, np.float64)
-    if len(vec) == n:
-        return vec.copy()
-    idx = (np.arange(len(vec)) * n) // len(vec)
-    return np.bincount(idx, weights=vec, minlength=n)
+#: ``ndarray.sum`` without its Python-level wrapper (same reduction).
+_sum = np.add.reduce
+
+#: Per-``nbuckets`` constants of :func:`epoch_vector`: bucket centers,
+#: the ``(nbuckets, N_COARSE)`` 0/1 fold onto coarse buckets (bucket ``b``
+#: lands in ``b * N_COARSE // nbuckets``) and ``log2(nbuckets)``.
+_GEOMETRY = LRU(256)
+
+
+def _geometry(nbuckets: int) -> tuple[np.ndarray, np.ndarray, np.float64]:
+    geo = _GEOMETRY.get(nbuckets)
+    if geo is None:
+        b = np.arange(nbuckets)
+        fold = np.zeros((nbuckets, N_COARSE), np.int64)
+        fold[b, (b * N_COARSE) // nbuckets] = 1
+        geo = _GEOMETRY[nbuckets] = (
+            (b.astype(np.float64) + 0.5) / nbuckets, fold, np.log2(nbuckets))
+    return geo
 
 
 def epoch_vector(counts: np.ndarray) -> np.ndarray:
     """The access-pattern vector of one ``(4, nbuckets)`` heat matrix.
 
     Deterministic, scale-invariant (doubling every count changes
-    nothing) and defined for empty matrices (the zero vector).
+    nothing) and defined for empty matrices (the zero vector).  Channel
+    and bucket sums are exact integer sums, so only the center, spread
+    and entropy reductions depend on float summation order.
     """
-    counts = np.asarray(counts, np.float64)
-    total = counts.sum()
+    counts = np.asarray(counts, np.int64)
     out = np.zeros(N_FEATURES, np.float64)
+    per_channel = _sum(counts, 1)
+    cr, cw, gr, gw = per_channel.tolist()
+    total = cr + cw + gr + gw
     if total <= 0:
         return out
     nbuckets = counts.shape[1]
-    per_channel = counts.sum(axis=1)
-    combined = counts.sum(axis=0)
+    pos, fold, log_n = _geometry(nbuckets)
+    combined = _sum(counts, 0)
+    cpu, gpu = cr + cw, gr + gw
 
-    # channel mix
+    # channel mix, then the shape scalars
     out[0:4] = per_channel / total
-    # shape scalars
-    cpu = per_channel[0] + per_channel[1]
-    gpu = per_channel[2] + per_channel[3]
-    reads = per_channel[0] + per_channel[2]
-    out[4] = reads / total
+    out[4] = (cr + gr) / total
     out[5] = gpu / total
-    out[6] = min(cpu, gpu) / max(cpu, gpu) if max(cpu, gpu) > 0 else 0.0
-    nonzero = int(np.count_nonzero(combined))
-    out[7] = nonzero / nbuckets
-    out[8] = combined.max() / total
-    pos = (np.arange(nbuckets, dtype=np.float64) + 0.5) / nbuckets
+    out[6] = min(cpu, gpu) / max(cpu, gpu)
+    out[7] = np.count_nonzero(combined) / nbuckets
+    out[8] = np.maximum.reduce(combined) / total
     weights = combined / total
-    center = float((pos * weights).sum())
+    center = float(_sum(pos * weights))
     out[9] = center
-    out[10] = float(np.sqrt(((pos - center) ** 2 * weights).sum()))
+    out[10] = math.sqrt(_sum((pos - center) ** 2 * weights))
     if nbuckets > 1:
         p = weights[weights > 0]
-        out[11] = float(-(p * np.log2(p)).sum()) / np.log2(nbuckets)
-    # per-channel coarse distributions
-    base = 4 + len(_SCALARS)
-    for ch in range(len(CHANNELS)):
-        dist = _coarsen(counts[ch])
-        s = dist.sum()
-        if s > 0:
-            out[base + ch * N_COARSE: base + (ch + 1) * N_COARSE] = dist / s
+        out[11] = float(-_sum(p * np.log2(p))) / log_n
+    # per-channel coarse distributions, each normalized to sum 1
+    out[4 + len(_SCALARS):] = (
+        (counts @ fold) / np.maximum(per_channel, 1)[:, None]).ravel()
     return out
 
 
@@ -166,8 +174,26 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(a, b) / (na * nb))
 
 
-def _round_vec(vec: np.ndarray) -> list[float]:
-    return [round(v, _ROUND) for v in vec.tolist()]
+def _round_vec(vecs: np.ndarray) -> np.ndarray:
+    """``round(v, 6)`` of every element of an array of vectors.
+
+    ``rint(x * 1e6) / 1e6`` is the double nearest the correctly rounded
+    decimal whenever ``x * 1e6`` did not land within a hair of a half (the
+    only place the product's own rounding can decide the tie) and
+    ``|x| < 1e9`` (so the product stays far inside integer precision);
+    the few other elements take Python's ``round``.
+    """
+    x = np.asarray(vecs, np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):  # these take round()
+        y = x * 1e6
+        r = np.rint(y)
+        odd = (np.abs(np.abs(y - r) - 0.5) <= 1e-6) | ~(np.abs(x) < 1e9)
+    out = r / 1e6
+    if odd.any():
+        flat = out.reshape(-1)
+        for i in np.flatnonzero(odd).tolist():
+            flat[i] = round(float(x.flat[i]), _ROUND)
+    return out
 
 
 @dataclass
@@ -200,10 +226,8 @@ class AllocationSignature:
         # The serialized mean is recomputed from the *rounded* vectors so
         # that save -> load -> save round-trips byte-identically (a load
         # only ever sees the rounded form).
-        vectors = [_round_vec(v) for v in self.vectors]
-        mean, _ = combine_vectors(
-            (np.asarray(v, np.float64), t)
-            for v, t in zip(vectors, self.totals))
+        vectors = _round_vec(self.vectors)
+        mean, _ = combine_vectors(zip(vectors, self.totals))
         return {
             "label": self.label,
             "size": self.size,
@@ -211,8 +235,8 @@ class AllocationSignature:
             "nbuckets": self.nbuckets,
             "epochs": list(self.epochs),
             "totals": list(self.totals),
-            "mean": _round_vec(mean),
-            "vectors": vectors,
+            "mean": _round_vec(mean).tolist(),
+            "vectors": vectors.tolist(),
             "top_sites": [[s, int(n)] for s, n in self.top_sites],
         }
 
@@ -250,6 +274,8 @@ class RunSignature:
         return sum(a.total for a in self.allocs.values())
 
     def to_dict(self) -> dict[str, Any]:
+        rows = _round_vec(
+            np.array([v for _, v, _ in self.epoch_vectors])).tolist()
         return {
             "type": "run_signature",
             "feature_version": self.feature_version,
@@ -258,8 +284,8 @@ class RunSignature:
             "total": self.total,
             "allocs": {k: a.to_dict() for k, a in sorted(self.allocs.items())},
             "epoch_vectors": [
-                {"epoch": int(e), "total": int(t), "vector": _round_vec(v)}
-                for e, v, t in self.epoch_vectors],
+                {"epoch": int(e), "total": int(t), "vector": row}
+                for (e, _, t), row in zip(self.epoch_vectors, rows)],
             "phases": list(self.phases),
         }
 

@@ -76,10 +76,11 @@ class IncompatibleStreamError(RuntimeError):
     """A stream directory's version cannot be read by this build."""
 
 
-def _dumps(record: Mapping[str, Any]) -> str:
-    # Compact separators keep segments small; sort_keys keeps them
-    # byte-deterministic for a given record sequence.
-    return json.dumps(record, separators=(",", ":"), sort_keys=True)
+#: Encodes one record: compact separators keep segments small, and
+#: sort_keys keeps them byte-deterministic for a given record sequence.
+#: One shared encoder (``json.dumps`` with these options builds a new one
+#: per call).
+_dumps = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
 
 
 def write_manifest(dir_path: str | Path, manifest: Mapping[str, Any]) -> Path:

@@ -89,23 +89,14 @@ class SpillingHeatStore(HeatStore):
         self.retain = retain
         self.epochs_spilled = 0
 
-    def advance_epoch(self, closed_epoch: int) -> None:
-        """Freeze accumulators, stream the snapshots, release the memory."""
-        for heat in self._allocs.values():
-            snap = heat.freeze(closed_epoch)
-            if snap is None:
-                continue
-            # Live listeners (phase tracking) see every snapshot before
-            # the store releases it to the spill sink.
-            if self.epoch_listeners:
-                for listener in tuple(self.epoch_listeners):
-                    listener(heat, snap)
-            if self.sink is not None:
-                self.sink(heat, snap)
-                self.epochs_spilled += 1
-                if not self.retain:
-                    heat.epochs.pop()
-        self.epochs_closed.append(closed_epoch)
+    def _frozen(self, heat: AllocationHeat, snap: EpochHeat) -> None:
+        """Stream the snapshot and release its memory; live listeners
+        (phase tracking) saw it first."""
+        if self.sink is not None:
+            self.sink(heat, snap)
+            self.epochs_spilled += 1
+            if not self.retain:
+                heat.epochs.pop()
 
 
 class StreamSpiller(ObserverBase):

@@ -24,6 +24,7 @@ from repro.instrument import instrument, parse
 from repro.interp import Interpreter, InterpError
 from repro.runtime import Tracer
 
+from .test_differential import _describe_no_backend
 from .test_host_lowering import BACKENDS, HEADER, _run
 
 #: Words per array; loop indices stay in ``[0, 32)``.
@@ -232,3 +233,54 @@ def test_pending_interval_crosses_the_loop_boundary(tail, tmp_path):
                 b.block and b.block.alloc.label, b.kind, b.lo, b.hi)
 
     assert pending_state("codegen-vec") == pending_state("interp")
+
+
+RMW_TAIL = HEADER + """
+__global__ void fill(int* b, int n) {
+    int i = blockIdx.x * blockDim.x + threadIdx.x;
+    if (i < n) { b[i] = i; }
+}
+__global__ void bump(int* b, int n) {
+    int i = blockIdx.x * blockDim.x + threadIdx.x;
+    if (i < n) { b[i] += 1; }
+}
+int main() {
+    int* b;
+    cudaMallocManaged((void**)&b, 64 * sizeof(int));
+    %s
+    return 0;
+}
+"""
+
+
+@pytest.mark.parametrize("body", [
+    "for (int i = 0; i < 32; i++) { b[i] += 1; }",
+    "bump<<<2, 16>>>(b, 32);",
+    # GPU-origin words: applying the chain twice would add C>C reads.
+    "fill<<<2, 16>>>(b, 32); for (int i = 0; i < 32; i++) { b[i] += 1; }",
+    # The pending RMW on b[0] extends into the loop's chain.
+    "b[0] += 1; for (int i = 1; i < 32; i++) { b[i] += 1; }",
+    "for (int i = 31; i >= 0; i--) { b[i] += 1; b[i] += 2; }",
+])
+def test_final_rmw_chain_stays_pending(body):
+    """A run ending in a read-modify-write chain leaves that chain in the
+    batcher, as the interpreter does: ``describe()`` before any flush,
+    the pending interval and the flushed shadow all match interp."""
+    source = RMW_TAIL % body
+
+    def observe(backend):
+        unit = parse(source)
+        instrument(unit)
+        it = Interpreter(unit, tracer=Tracer(), backend=backend)
+        it.run()
+        tracer, b = it.tracer, it.tracer.batcher
+        before = (_describe_no_backend(tracer),
+                  b.block and b.block.alloc.label, b.kind, b.lo, b.hi)
+        tracer.flush_trace()
+        shadow = tracer.smt.live_and_dead()[0].shadow.tobytes()
+        return before, _describe_no_backend(tracer)["words_seen"], shadow
+
+    oracle = observe("interp")
+    assert oracle[0][0]["words_seen"] < oracle[1]
+    for backend in BACKENDS[1:]:
+        assert observe(backend) == oracle, backend

@@ -2,6 +2,7 @@
 
 import sys
 
+from repro.heatmap import attribution
 from repro.heatmap.attribution import SKIP_MODULES, _shorten, caller_site
 from repro.heatmap.store import HeatStore, SourceSite
 from repro.memsim import AddressSpace, MemoryKind, Processor
@@ -30,6 +31,35 @@ class TestCallerSite:
 
     def test_workloads_are_not_skipped(self):
         assert not any(m.startswith("repro.workloads") for m in SKIP_MODULES)
+
+
+class TestBoundedMemos:
+    """The site memo is a bounded LRU (code objects of a long or
+    generated session would otherwise pile up) with counters."""
+
+    def test_site_memo_evicts_and_counts(self, monkeypatch):
+        memo = attribution._SITE_CACHE
+        monkeypatch.setattr(memo, "maxsize", 2)
+        memo.clear()
+        hits, misses, evictions = memo.hits, memo.misses, memo.evictions
+        frame = sys._getframe()
+
+        def site_at(line):
+            # One memo key per (code, line): a fresh frame per line.
+            return eval(compile("\n" * line + "f()", "gen.py", "eval"),
+                        {"f": lambda: attribution.site_from_frame(
+                            sys._getframe(1))})
+
+        first = site_at(1)
+        assert site_at(1) is first
+        site_at(2)
+        site_at(3)
+        assert len(memo) == 2
+        assert (memo.hits - hits, memo.misses - misses,
+                memo.evictions - evictions) == (1, 3, 1)
+        assert site_at(1) == first and site_at(1) is not first
+        assert attribution.site_from_frame(frame).line == frame.f_lineno
+        memo.clear()
 
 
 class TestStoreIntegration:

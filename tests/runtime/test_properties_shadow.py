@@ -58,8 +58,11 @@ class TestShadowInvariants:
         block = make_block()
         apply_ops(block, sequence)
         alt = block.alternating_words()
-        both = (block.cpu_accessed() & block.gpu_accessed()).sum()
-        written = block.written().sum()
+        s = block.shadow
+        cpu = (s & (F.CPU_WROTE | F.READ_CC | F.READ_GC)) != 0
+        gpu = (s & (F.GPU_WROTE | F.READ_CG | F.READ_GG)) != 0
+        both = (cpu & gpu).sum()
+        written = ((s & (F.CPU_WROTE | F.GPU_WROTE)) != 0).sum()
         assert alt <= both
         assert alt <= written
 

@@ -35,3 +35,16 @@ def test_python_workload_loads_no_front_end(tmp_path):
                                       ["repro", "codegen"])}
     assert not loaded, sorted(loaded)
     assert "repro.backends" in modules
+
+
+def test_heat_and_signature_layers_load_no_codegen():
+    """The attribution and epoch-vector memos use the leaf ``repro.memo``
+    LRU, so the heat and signature layers never load ``repro.codegen``."""
+    probe = ("import json, sys, repro.heatmap.attribution, "
+             "repro.signature.vector; print(json.dumps(sorted(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    modules = json.loads(done.stdout.splitlines()[-1])
+    assert "repro.memo" in modules
+    assert not [m for m in modules if m.startswith("repro.codegen")]
